@@ -139,12 +139,28 @@ def _parse_embedding(raw, cm):
         i, j, k = (int(x) for x in parts)
     except Exception:
         raise InputError("embeddings are written '(i,j,k)', got %r" % raw)
-    if i >= len(cm.components):
+    if not 0 <= i < len(cm.components):
         raise InputError("component %d does not exist" % i)
     c = cm.components[i]
     if not (0 <= j < c.f) or not (0 <= k < max(c.e, 1)):
         raise InputError("embedding %r out of range for component %d" % (raw, i))
     return Embedding(i, j, k)
+
+
+def _load_component(c):
+    pairwise = None
+    if c.get("pairwise") is not None:
+        pairwise = tuple((int(a), int(b), _frac(v)) for a, b, v in c["pairwise"])
+    return CMComponent(
+        f=int(c["f"]),
+        e=int(c["e"]),
+        tame=bool(c.get("tame", True)),
+        diff_valuation=(
+            _frac(c["diff_valuation"]) if c.get("diff_valuation") is not None
+            else None
+        ),
+        pairwise=pairwise,
+    )
 
 
 def _load_cm(path):
@@ -154,26 +170,14 @@ def _load_cm(path):
         raise InputError("cm file needs schema '1'")
     if "q_v" not in data or not _is_prime_power(data["q_v"]):
         raise InputError("cm file needs a prime-power q_v")
-    comps = []
-    for c in data.get("components", []):
-        pairwise = None
-        if c.get("pairwise") is not None:
-            pairwise = tuple((int(a), int(b), _frac(v)) for a, b, v in c["pairwise"])
-        comps.append(
-            CMComponent(
-                f=int(c["f"]),
-                e=int(c["e"]),
-                tame=bool(c.get("tame", True)),
-                diff_valuation=(
-                    _frac(c["diff_valuation"]) if c.get("diff_valuation") is not None
-                    else None
-                ),
-                pairwise=pairwise,
-            )
-        )
+    try:
+        comps = [_load_component(c) for c in data.get("components", [])]
+        # CMAlgebra checks the tame conditions e | q_v^f - 1 and p !| e
+        cm = CMAlgebra(data["q_v"], comps)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError("bad cm component: %s" % exc)
     if not comps:
         raise InputError("cm file lists no components")
-    cm = CMAlgebra(data["q_v"], comps)
     cm_type = {}
     for key, d in data.get("cm_type", {}).items():
         cm_type[_parse_embedding(key, cm)] = int(d)

@@ -3,8 +3,13 @@
 Elements of F_{p^k} are stored as coefficient tuples of length k (reduced mod
 the field's defining polynomial).  The defining polynomial is always the
 lexicographically smallest monic irreducible of degree k over F_p, so the
-same (p, k) yields the same field in every run.  Multiplication and inversion
-go through discrete log/exp tables for fields of moderate size.
+same (p, k) yields the same field in every run.
+
+Fields with q <= 2^10 build discrete log/exp tables on first use, and
+multiply, invert and power through them.  Larger fields build no tables:
+they multiply by polynomial product and reduction and power by square and
+multiply.  Either way the canonical multiplicative generator, and with it
+every root of unity, is the first element in code order of order q - 1.
 """
 
 from functools import lru_cache
@@ -171,7 +176,11 @@ def _prime_divisors(n):
     return out
 
 
-_LOG_TABLE_LIMIT = 1 << 17
+# Largest q whose log/exp tables are built.  The build costs O(q) time and
+# memory; per omega job it beat table-free arithmetic at q = 2^9 and 2^10
+# and lost from q = 2^11 on (a 2^11 job: 0.040 s with tables, 0.014 s
+# without), so the limit sits at the crossover.
+_LOG_TABLE_LIMIT = 1 << 10
 
 
 class FqField:
@@ -235,20 +244,8 @@ class FqField:
             yield FqElem(self, tuple(c))
 
     def _build_tables(self):
-        if self.q > _LOG_TABLE_LIMIT:
-            raise ValueError("field too large for log tables (q=%d)" % self.q)
-        # find a multiplicative generator by direct order test (raw powering;
-        # the tables are not available yet)
+        g = self.multiplicative_generator()
         order = self.q - 1
-        prim_divs = _prime_divisors(order)
-        g = None
-        for cand in self.elements():
-            if cand.is_zero():
-                continue
-            if all(cand._pow_raw(order // l).c != self.one.c for l in prim_divs):
-                g = cand
-                break
-        assert g is not None
         exp = [None] * (2 * order)
         log = {}
         acc = self.one
@@ -259,11 +256,18 @@ class FqField:
             acc = acc._mul_raw(g)
         self._exp = exp
         self._log = log
-        self._mul_gen = g
 
     def multiplicative_generator(self):
-        if self._log is None:
-            self._build_tables()
+        """The canonical generator of F_q^*: the first element in code order
+        with g^((q-1)/l) != 1 for every prime l | q - 1.  Found by raw
+        powering, so it is the same element with or without log tables."""
+        if self._mul_gen is None:
+            order = self.q - 1
+            prim_divs = _prime_divisors(order)
+            self._mul_gen = next(
+                cand for cand in self.elements()
+                if cand and all(cand._pow_raw(order // l).c != self.one.c for l in prim_divs)
+            )
         return self._mul_gen
 
     def root_of_unity(self, m):
@@ -586,24 +590,6 @@ class PolyFq:
             if self.gcd(g).degree != 0:
                 return False
         return True
-
-
-def ff_arith(a, b, op, n=1):
-    """Dispatch wrapper: op in {add, mul, inv, pow, frobenius}.
-
-    `inv` and `frobenius` ignore b; `pow` and `frobenius` read the integer n.
-    """
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "pow":
-        return a ** n
-    if op == "frobenius":
-        return a.frobenius(n)
-    raise ValueError("unknown field op %r" % (op,))
 
 
 def monic_irreducibles(field, degree):

@@ -200,3 +200,42 @@ def test_zv_char_file_missing_value(capsys, tmp_path):
     cf.write_text(json.dumps({"schema": "1", "values": {"(0,0)": "1/1"}}))
     code, out, err = run(capsys, "zv", "--galois", gal, "--char-file", str(cf))
     assert code == 2
+
+
+def test_omega_table_free_residue_field(capsys, tmp_path, monkeypatch):
+    # q_v = 2^18 is above the log-table limit; e = 3 needs a root of unity
+    monkeypatch.setenv("FFP_TOWER_BOUND", "1000000000000")
+    path = cm_file(tmp_path, {
+        "schema": "1",
+        "q_v": 2 ** 18,
+        "components": [{"f": 1, "e": 3, "tame": True}],
+    })
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,1)", "--depth", "1")
+    assert code == 0
+    assert "agreement:        yes" in out
+
+
+@pytest.mark.parametrize("component", [
+    {"f": 1, "e": 2, "tame": True},  # e = 2 does not divide q_v - 1 = 3
+    {"f": 0, "e": 1, "tame": True},
+    {"e": 1, "tame": True},
+])
+def test_omega_bad_component_exit_code(capsys, tmp_path, component):
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 4, "components": [component]})
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,0)")
+    assert code == 2
+    assert "bad cm component" in err
+
+
+@pytest.mark.parametrize("embedding", ["(-1,0,0)", "(0,-1,0)", "(0,0,-1)"])
+def test_omega_negative_embedding_index(capsys, tmp_path, embedding):
+    path = cm_file(tmp_path, {
+        "schema": "1",
+        "q_v": 3,
+        "components": [{"f": 1, "e": 2, "tame": True}],
+    })
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", embedding, "--psi", embedding)
+    assert code == 2

@@ -1,6 +1,10 @@
+import itertools
+import math
+
 import pytest
 
 from ffperiods.fields import (
+    _LOG_TABLE_LIMIT,
     FqField,
     FieldMismatchError,
     PolyFq,
@@ -131,14 +135,32 @@ def test_poly_derivative_char3():
     assert f.derivative().is_zero()
 
 
-def test_ff_arith_dispatch():
-    from ffperiods.fields import ff_arith
+def test_roots_of_unity_in_table_free_field():
+    F = FqField(2, 18)
+    for m in (3, 7):
+        w = F.root_of_unity(m)  # m prime: order m means w != 1 and w^m = 1
+        assert w != F.one and w ** m == F.one
+    assert F._log is None
 
-    F4 = FqField(2, 2)
-    x = F4.gen
-    assert ff_arith(x, x, "add") == F4.zero
-    assert ff_arith(x, x.inv(), "mul") == F4.one
-    assert ff_arith(x, None, "frobenius", 1) == F4.elem([1, 1])
-    assert ff_arith(F4.elem(1), None, "pow", 5) == F4.one
-    with pytest.raises(ValueError):
-        ff_arith(x, x, "sub")
+
+def test_table_free_path_agrees_with_forced_tables():
+    F = FqField(11, 3)  # q = 1331, just above the limit
+    assert F.q > _LOG_TABLE_LIMIT
+    g = F.multiplicative_generator()
+    sample = list(itertools.islice(F.elements(), 1, 50)) + [g, F.gen]
+
+    def results():
+        return [(a.inv(), a ** 5, a ** -3, a ** (F.q + 1), a * g) for a in sample]
+
+    table_free = results()
+    assert F._log is None
+    try:
+        F._build_tables()
+        # the tables are powers of g, g generates F_q^*, and no nonzero
+        # element before g in code order does
+        assert F._exp[1] == g.c and len(F._log) == F.q - 1
+        earlier = itertools.islice(F.elements(), 1, g.code())
+        assert all(math.gcd(F._log[a.c], F.q - 1) > 1 for a in earlier)
+        assert results() == table_free
+    finally:
+        F._exp = F._log = None
