@@ -134,9 +134,6 @@ def _sigma_twist_poly(poly, q, n=1):
     return poly.coeff_pow_map(lambda c: c.pow(q ** n))
 
 
-_poly_at_series = poly_at_series
-
-
 def amotive_to_local_shtuka(model, place_poly, depth):
     """The local shtuka matrix at the place, over truncated R[[z]].
 
@@ -160,7 +157,7 @@ def amotive_to_local_shtuka(model, place_poly, depth):
         ]
         substituted = [
             [
-                _poly_at_series(entry, t_of_z, depth + 1, tower)
+                poly_at_series(entry, t_of_z, depth + 1, tower)
                 if entry.terms
                 else CoeffSeries.zero(tower, depth + 1)
                 for entry in row
@@ -217,7 +214,7 @@ def z_series_hat_order(series, zeta, max_order=None):
     tower = zeta.tower
     bound = series.prec if series.prec is not None else series.degree_bound() + 1
     shift = CoeffSeries(tower, {0: zeta, 1: tower.one()}, bound)
-    around = _poly_at_series(series, shift, bound, tower)
+    around = poly_at_series(series, shift, bound, tower)
     limit = bound if max_order is None else min(bound, max_order + 1)
     zeta_ord = zeta.ord()
     for m in range(limit):

@@ -64,10 +64,11 @@ def _frac(s):
     if isinstance(s, int):
         return Fraction(s)
     if isinstance(s, str):
-        if "/" in s:
-            num, den = s.split("/", 1)
+        num, den = s.split("/", 1) if "/" in s else (s, "1")
+        try:
             return Fraction(int(num), int(den))
-        return Fraction(int(s))
+        except (ValueError, ZeroDivisionError):
+            raise InputError("bad rational %r" % (s,))
     raise InputError("rationals must be integers or 'num/den' strings: %r" % (s,))
 
 
@@ -91,6 +92,8 @@ def _tower_bound(default):
 
 
 def _is_prime_power(n):
+    if not isinstance(n, int):
+        return False
     try:
         factor_prime_power(n)
         return True
@@ -317,7 +320,7 @@ def cmd_regularize(args):
     if data.get("schema") != "1":
         raise InputError("config needs schema '1'")
     q = data.get("q")
-    if not isinstance(q, int) or not _is_prime_power(q):
+    if not _is_prime_power(q):
         raise InputError("config needs a prime-power q")
     genus = int(data.get("genus", 0))
     character = data.get("character", "trivial")

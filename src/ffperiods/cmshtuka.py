@@ -423,18 +423,14 @@ def _omega_w_series(fam, cm, phi, psi, w_prec):
     return factor1 * series, hat, leading, term_vals
 
 
-def _to_zeta_coordinates(tower, cm, psi, pi, w_series, hat, leading, w_prec):
-    """Re-expand a w-series in powers of u = z - zeta; the leading coefficient
-    picks up (dz/dy at psi)^(-hat)."""
-    e = cm.components[psi.i].e
-    if e == 1:
-        return w_series, leading
+def _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec):
+    """Re-expand a w-series in powers of u = z - zeta.  Also returns dz/dy at
+    psi (the linear coefficient of z - zeta in w), or None when e = 1."""
+    if cm.components[psi.i].e == 1:
+        return w_series, None
     zmz = _zeta_minus_z_series(tower, cm, psi, pi, w_prec + 1)
     w_of_u = reversion(zmz, w_prec + 1, tower)
-    zeta_coeffs = w_series.substitute(w_of_u, w_prec)
-    if hat:
-        leading = leading * zmz.coeff(1).inv().pow(hat)
-    return zeta_coeffs, leading
+    return w_series.substitute(w_of_u, w_prec), zmz.coeff(1)
 
 
 def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
@@ -463,9 +459,9 @@ def _omega_from_family(fam, cm, phi, psi, w_prec=None):
         w_prec = fam.depth() + 2
     w_series, hat, leading, term_vals = _omega_w_series(fam, cm, phi, psi, w_prec)
     pi = component_uniformizer(tower, cm.components[phi.i])
-    zeta_coeffs, leading = _to_zeta_coordinates(
-        tower, cm, psi, pi, w_series, hat, leading, w_prec
-    )
+    zeta_coeffs, dz_dy = _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec)
+    if dz_dy is not None and hat:
+        leading = leading * dz_dy.inv().pow(hat)
     pe = PeriodElement(hat, zeta_coeffs, leading, term_vals, tower)
     lead_in_series = zeta_coeffs.terms.get(0 if hat == 0 else hat)
     if lead_in_series is None or not lead_in_series.series.terms:
@@ -716,9 +712,10 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
         result = result.scale(
             TowerElem(current, TruncSeries.monomial(current.residue, int(ordx)))
         )
-    zeta_coeffs, lead = _pairing_zeta_coordinates(
-        current, cm, psi, pi_here, result, hat, w_prec
-    )
+    zeta_coeffs, _ = _to_zeta_coordinates(current, cm, psi, pi_here, result, w_prec)
+    lead = zeta_coeffs.terms.get(hat)
+    if lead is None or not lead.series.terms:
+        raise AmbiguousLeadingTermError("pairing element has no visible leading term")
     # the product's leading valuation must assemble from its factors: the
     # omega leads, the unit factor (valuation 0), the scaling shifts, and the
     # coordinate-change derivative to the hat-th power
@@ -735,20 +732,6 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
         zeta_coeffs = zeta_coeffs.shift(omega_scaling.x_order)
         hat += omega_scaling.x_order
     return PeriodElement(hat, zeta_coeffs, lead, [], current)
-
-
-def _pairing_zeta_coordinates(tower, cm, psi, pi, w_series, hat, w_prec):
-    e = cm.components[psi.i].e
-    if e == 1:
-        zeta_coeffs = w_series
-    else:
-        zmz = _zeta_minus_z_series(tower, cm, psi, pi, w_prec + 1)
-        w_of_u = reversion(zmz, w_prec + 1, tower)
-        zeta_coeffs = w_series.substitute(w_of_u, w_prec)
-    lead = zeta_coeffs.terms.get(hat)
-    if lead is None or not lead.series.terms:
-        raise AmbiguousLeadingTermError("pairing element has no visible leading term")
-    return zeta_coeffs, lead
 
 
 def _unit_factor_w(shtuka, psi, tower, unit_data, w_prec):

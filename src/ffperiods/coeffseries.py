@@ -169,10 +169,15 @@ class CoeffSeries:
         if inner.terms and inner.ord() < 1:
             raise ValueError("substitution needs ord(inner) >= 1")
         out = CoeffSeries.zero(self.tower, prec)
+        power, at = CoeffSeries.one(inner.tower), 0  # inner^at, from the previous term
         for e in sorted(self.terms):
             if e < 0:
                 raise ValueError("substitute expects nonnegative exponents")
-            out = out + inner.pow(e, prec).scale(self.terms[e]).truncate(prec)
+            if e > at:
+                step = inner.truncate(prec) if e - at == 1 else inner.pow(e - at, prec)
+                power = step if at == 0 else (power * step).truncate(prec)
+                at = e
+            out = out + power.scale(self.terms[e]).truncate(prec)
         return out.truncate(prec)
 
     def evaluate(self, x):

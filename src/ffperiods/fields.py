@@ -6,10 +6,12 @@ lexicographically smallest monic irreducible of degree k over F_p, so the
 same (p, k) yields the same field in every run.
 
 Fields with q <= 2^10 build discrete log/exp tables on first use, and
-multiply, invert and power through them.  Larger fields build no tables:
-they multiply by polynomial product and reduction and power by square and
-multiply.  Either way the canonical multiplicative generator, and with it
-every root of unity, is the first element in code order of order q - 1.
+multiply, invert and power through them; the series product also reads a
+packed copy of the exp table (see `FqField._packed_tables`).  Larger fields
+build no tables: they multiply by polynomial product and reduction and power
+by square and multiply.  Either way the canonical multiplicative generator,
+and with it every root of unity, is the first element in code order of
+order q - 1.
 """
 
 from functools import lru_cache
@@ -182,6 +184,12 @@ def _prime_divisors(n):
 # without), so the limit sits at the crossover.
 _LOG_TABLE_LIMIT = 1 << 10
 
+# Bits per coefficient ("lane") of a packed exp-table entry.  A series
+# product adds at most min(#a, #b) entries into one output term, and each
+# lane of an entry is below p <= 2^10, so a lane stays below 2^64 unless a
+# series has more than 2^54 terms.
+_LANE_BITS = 64
+
 
 class FqField:
     """The finite field F_q with q = p^k, with a canonical defining polynomial."""
@@ -212,6 +220,7 @@ class FqField:
         self.gen = FqElem(self, tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
         self._exp = None
         self._log = None
+        self._exp_packed = None
         self._mul_gen = None
         self._ready = True
 
@@ -256,6 +265,32 @@ class FqField:
             acc = acc._mul_raw(g)
         self._exp = exp
         self._log = log
+
+    def _packed_tables(self):
+        """(log, packed exp) for the series product, or None above the table
+        limit.  A packed entry holds the coefficient tuple of the exp entry in
+        one int, coefficient i in bits [64 i, 64 i + 64)."""
+        if self.q > _LOG_TABLE_LIMIT:
+            return None
+        if self._exp_packed is None:
+            if self._log is None:
+                self._build_tables()
+            self._exp_packed = [
+                sum(c << (_LANE_BITS * i) for i, c in enumerate(coeffs)) for coeffs in self._exp
+            ]
+        return self._log, self._exp_packed
+
+    def _unpack_sums(self, sums):
+        """{key: sum of packed entries} -> {key: FqElem}, each lane reduced
+        mod p once; keys whose sum is zero are dropped."""
+        p, mask = self.p, (1 << _LANE_BITS) - 1
+        shifts = range(0, _LANE_BITS * self.k, _LANE_BITS)
+        out = {}
+        for key, v in sums.items():
+            c = tuple([(v >> s & mask) % p for s in shifts])
+            if any(c):
+                out[key] = FqElem(self, c)
+        return out
 
     def multiplicative_generator(self):
         """The canonical generator of F_q^*: the first element in code order

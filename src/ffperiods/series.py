@@ -6,8 +6,15 @@ exactly, nothing is claimed beyond.  ``prec = None`` marks an exact series
 (a Laurent polynomial, all coefficients known).  Every operation computes the
 tightest provable precision of its output; when a needed leading term is not
 determined inside the known range the operation raises rather than guessing.
-"""
 
+Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
+coefficient is replaced by its discrete log once, the second operand is
+sorted by exponent so the pair loop stops at the output precision, and each
+pair adds one entry of the field's packed exp table (a coefficient tuple in
+one int, 64 bits per coefficient) to the sum of its exponent.  Every lane of
+a sum is reduced mod p once, when the output term is built.  Larger fields
+multiply FqElem by FqElem.
+"""
 
 
 class InsufficientPrecisionError(ArithmeticError):
@@ -31,6 +38,15 @@ class TruncSeries:
         self.prec = prec
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _of(cls, field, terms, prec):
+        """Wrap terms that are already nonzero FqElems of `field` below prec."""
+        self = object.__new__(cls)
+        self.field = field
+        self.terms = terms
+        self.prec = prec
+        return self
 
     @classmethod
     def zero(cls, field, prec=None):
@@ -152,6 +168,9 @@ class TruncSeries:
             lb = self.ord_lower_bound()
             p2 = None if lb is None else other.prec + lb
             prec = p2 if prec is None else min(prec, p2)
+        tables = self.field._packed_tables()
+        if tables is not None:
+            return TruncSeries._of(self.field, _mul_packed(self, other, prec, *tables), prec)
         t = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -181,7 +200,7 @@ class TruncSeries:
     def truncate(self, prec):
         if self.prec is not None and prec > self.prec:
             prec = self.prec
-        return TruncSeries(self.field, {e: c for e, c in self.terms.items() if e < prec}, prec)
+        return TruncSeries._of(self.field, {e: c for e, c in self.terms.items() if e < prec}, prec)
 
     def inv(self, prec=None):
         """Multiplicative inverse.
@@ -239,20 +258,16 @@ class TruncSeries:
             prec = inner.prec if prec is None else min(prec, inner.prec)
         if not self.terms:
             return TruncSeries.zero(self.field, prec)
-        # term-by-term (the supports are sparse and exponents can be huge;
-        # char-p powering keeps each inner^e cheap)
+        # term-by-term (the supports are sparse and exponents can be huge);
+        # the terms share the powers inner^(d p^j) their exponents' digits need
+        power = _powers_of(inner, prec)
         acc = TruncSeries.zero(self.field, prec)
         lb = inner.ord_lower_bound()
         for e in sorted(self.terms):
             if prec is not None and lb is not None and e * lb >= prec:
                 break
-            term = inner.pow_int(e).scale(self.terms[e])
-            if prec is not None:
-                term = term.truncate(prec)
-            acc = acc + term
-        if prec is not None:
-            acc = acc.truncate(prec)
-        return acc
+            acc = acc + power(e).scale(self.terms[e])
+        return acc if prec is None else acc.truncate(prec)
 
     def frobenius_coeffs(self, n=1):
         """Raise every coefficient to its p^n power, exponents unchanged."""
@@ -263,20 +278,7 @@ class TruncSeries:
     def pow_int(self, n):
         if n < 0:
             return self.inv().pow_int(-n)
-        if n == 0:
-            return TruncSeries.one(self.field)
-        p = self.field.p
-        result = TruncSeries.one(self.field)
-        # char-p powering: a^(p^j) is coefficient Frobenius + exponent scaling
-        base = self
-        while n:
-            digit = n % p
-            for _ in range(digit):
-                result = result * base
-            n //= p
-            if n:
-                base = base._pow_char_p()
-        return result
+        return _powers_of(self, None)(n)
 
     def _pow_char_p(self):
         p = self.field.p
@@ -312,18 +314,54 @@ class TruncSeries:
         return TruncSeries(f, t, self.prec)
 
 
-def series_arith(a, b, op, n=1, prec=None):
-    """Dispatch wrapper: op in {add, mul, inv, compose, frobenius_coeffs, derivative}."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv(prec)
-    if op == "compose":
-        return a.compose(b)
-    if op == "frobenius_coeffs":
-        return a.frobenius_coeffs(n)
-    if op == "derivative":
-        return a.derivative()
-    raise ValueError("unknown series op %r" % (op,))
+def _powers_of(base, prec):
+    """The map e -> base^e (e >= 0), truncated to prec unless prec is None.
+
+    base^e is the product over the base-p digits d_j of e of base^(d_j p^j),
+    where base^(p^j) comes from char-p powering (coefficient Frobenius and
+    exponent scaling).  Each base^(d p^j) is built once and shared by every
+    later call whose exponent has that digit.
+    """
+    def cut(s):
+        return s if prec is None else s.truncate(prec)
+
+    p = base.field.p
+    rows = [[None, cut(base)]]  # rows[j][d] = base^(d p^j)
+
+    def power(e):
+        result, j = None, 0
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                while len(rows) <= j:
+                    rows.append([None, cut(rows[-1][1]._pow_char_p())])
+                row = rows[j]
+                while len(row) <= d:
+                    row.append(cut(row[-1] * row[1]))
+                result = row[d] if result is None else cut(result * row[d])
+            j += 1
+        return TruncSeries.one(base.field) if result is None else result
+
+    return power
+
+
+def _mul_packed(a, b, prec, log, exp):
+    """Terms of a * b below prec, from the field's log and packed exp tables.
+
+    Each coefficient becomes its discrete log once; every pair of terms then
+    costs one table read and one int addition into the packed sum of its
+    exponent, and the field unpacks each sum (one mod p per lane) at the end.
+    """
+    lb = sorted((e, log[c.c]) for e, c in b.terms.items())
+    end = lb[-1][0] + 1 if lb else 0
+    sums = {}
+    get = sums.get
+    for e1, c1 in a.terms.items():
+        l1 = log[c1.c]
+        stop = end if prec is None else prec - e1
+        for e2, l2 in lb:
+            if e2 >= stop:
+                break
+            e = e1 + e2
+            sums[e] = get(e, 0) + exp[l1 + l2]
+    return a.field._unpack_sums(sums)

@@ -51,12 +51,12 @@ def test_hensel_root_satisfies_place_equation():
     # p(T(z)) = z within the working window
     tower = model.tower
     acc = None
-    from ffperiods.amotive import _poly_at_series, _embed_place_coeffs
-    from ffperiods.coeffseries import CoeffSeries
+    from ffperiods.amotive import _embed_place_coeffs
+    from ffperiods.coeffseries import CoeffSeries, poly_at_series
 
     coeffs = _embed_place_coeffs(tower, 2, pl)
     poly = CoeffSeries(tower, dict(enumerate(coeffs)))
-    val = _poly_at_series(poly, t_of_z, 6, tower)
+    val = poly_at_series(poly, t_of_z, 6, tower)
     z_var = CoeffSeries.variable(tower, 6)
     assert (val - z_var).is_zero_within_precision()
 

@@ -239,3 +239,31 @@ def test_omega_negative_embedding_index(capsys, tmp_path, embedding):
     code, out, err = run(capsys, "omega", "--cm", path,
                          "--phi", embedding, "--psi", embedding)
     assert code == 2
+
+
+def test_omega_string_q_v_exit_code(capsys, tmp_path):
+    path = cm_file(tmp_path, {"schema": "1", "q_v": "4",
+                              "components": [{"f": 1, "e": 3, "tame": True}]})
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,0)")
+    assert code == 2
+    assert "prime-power q_v" in err
+
+
+def test_zero_denominator_rational_exit_code(capsys, tmp_path):
+    path = cm_file(tmp_path, {
+        "schema": "1",
+        "q_v": 2,
+        "components": [{"f": 1, "e": 2, "tame": False, "diff_valuation": "1/0",
+                        "pairwise": [[0, 1, "1/2"]]}],
+    })
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,1)")
+    assert code == 2
+    assert "bad rational '1/0'" in err
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"schema": "1", "q": 2, "genus": 0, "character": "trivial",
+                               "explicit": [{"label": "t", "degree": 1, "x": "1/0"}]}))
+    code, out, err = run(capsys, "regularize", "--config", str(reg))
+    assert code == 2
+    assert "bad rational '1/0'" in err

@@ -70,3 +70,26 @@ def test_evaluate(tower):
     poly = CoeffSeries(tower, {0: pi, 2: tower.one()})
     val = poly.evaluate(pi)
     assert (val - (pi + pi * pi)).is_zero_within_precision()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16])
+def test_substitute_does_linear_many_products(tower, n, monkeypatch):
+    pi = tower.uniformizer()
+    outer = CoeffSeries(tower, {e: tower.one() if e % 2 else pi for e in range(n)})
+    inner = CoeffSeries(tower, {1: tower.one(), 2: pi}, n + 2)
+    # the definition: the sum of c * inner^e, each power computed on its own
+    expected = CoeffSeries.zero(tower, n + 2)
+    for e, c in outer.terms.items():
+        expected = expected + inner.pow(e, n + 2).scale(c).truncate(n + 2)
+    products = []
+    mul = CoeffSeries.__mul__
+
+    def counting_mul(a, b):
+        products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CoeffSeries, "__mul__", counting_mul)
+    out = outer.substitute(inner, n + 2)
+    assert len(products) <= n
+    assert out.prec == expected.prec
+    assert (out - expected).is_zero_within_precision()

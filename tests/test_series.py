@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffperiods.fields import FqField
-from ffperiods.series import InsufficientPrecisionError, TruncSeries, series_arith
+from ffperiods.series import InsufficientPrecisionError, TruncSeries
 
 F2 = FqField(2, 1)
 F3 = FqField(3, 1)
@@ -86,12 +86,6 @@ def test_char_p_power_fast_path():
     assert sq.terms == {0: F2.one, 2: F2.one}
 
 
-def test_series_arith_dispatch():
-    a = S(F3, {0: 1}, 4)
-    assert series_arith(a, a, "add").terms == {0: F3.elem(2)}
-    assert series_arith(a, a, "mul").terms == {0: F3.one}
-
-
 coeff = st.integers(min_value=0, max_value=2)
 small_series = st.builds(
     lambda d, p: TruncSeries(F3, d, p),
@@ -112,3 +106,146 @@ def test_mul_associative_up_to_precision(a, b, c):
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative(a, b):
     assert (a * b).agrees_with(b * a)
+
+
+# -- the product over log/exp tables (packed) and without them ---------------
+
+F7 = FqField(7, 1)
+F9 = FqField(3, 2)
+F16 = FqField(2, 4)
+F2_11 = FqField(2, 11)  # above the table limit: the FqElem loop
+PRODUCT_FIELDS = [F2, F7, F9, F16, F2_11]
+
+
+def elem_of_code(field, code):
+    digits = []
+    for _ in range(field.k):
+        code, d = divmod(code, field.p)
+        digits.append(d)
+    return field.elem(digits)
+
+
+def schoolbook(a, b):
+    """a * b term by term with FqElem arithmetic, and its precision."""
+    prec = None
+    for x, y in ((a, b), (b, a)):
+        lb = y.ord_lower_bound()
+        if x.prec is not None and lb is not None:
+            prec = x.prec + lb if prec is None else min(prec, x.prec + lb)
+    terms = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            if prec is None or e1 + e2 < prec:
+                terms[e1 + e2] = terms.get(e1 + e2, a.field.zero) + c1 * c2
+    return {e: c for e, c in terms.items() if c}, prec
+
+
+@st.composite
+def series_pairs(draw):
+    field = draw(st.sampled_from(PRODUCT_FIELDS))
+
+    def one_series():
+        terms = draw(st.dictionaries(st.integers(min_value=-4, max_value=14),
+                                     st.integers(min_value=0, max_value=field.q - 1),
+                                     max_size=12))
+        prec = draw(st.one_of(st.none(), st.integers(min_value=-3, max_value=16)))
+        return TruncSeries(field, {e: elem_of_code(field, c) for e, c in terms.items()}, prec)
+
+    return one_series(), one_series()
+
+
+@given(series_pairs())
+@settings(max_examples=200, deadline=None)
+def test_product_matches_schoolbook(pair):
+    a, b = pair
+    terms, prec = schoolbook(a, b)
+    c = a * b
+    assert c.prec == prec
+    assert c.terms == terms
+    assert all(isinstance(x.c, tuple) and len(x.c) == a.field.k for x in c.terms.values())
+
+
+def test_packed_tables_only_below_the_limit():
+    assert F2_11._packed_tables() is None
+    log, exp = F9._packed_tables()
+    assert len(exp) == 2 * (F9.q - 1)
+
+
+@pytest.mark.parametrize("field", PRODUCT_FIELDS, ids=repr)
+@pytest.mark.parametrize("prec", [None, 40])
+def test_product_where_terms_cancel(field, prec):
+    # (1 + T + ... + T^(n-1)) (1 - T) = 1 - T^n: at every exponent 1 .. n - 1
+    # the two products 1 and -1 = p - 1 cancel, so the lane sum is exactly p
+    n = field.p + 3
+    geometric = TruncSeries(field, {i: field.one for i in range(n)}, prec)
+    c = geometric * TruncSeries(field, {0: 1, 1: -1})
+    assert c.terms == {0: field.one, n: -field.one}
+    # p-th powers: the cross terms of (x + y)^p cancel, their lane sums are
+    # multiples of p
+    x = TruncSeries(field, {-1: elem_of_code(field, field.q - 1), 2: field.one}, prec)
+    power = TruncSeries.one(field)
+    for _ in range(field.p):
+        power = power * x
+    assert power.terms == {-field.p: elem_of_code(field, field.q - 1) ** field.p,
+                           2 * field.p: field.one}
+
+
+def power_by_repeated_products(x, e):
+    acc = TruncSeries.one(x.field)
+    for _ in range(e):
+        acc = acc * x
+    return acc
+
+
+def compose_by_powers(f, inner, prec):
+    """f(inner) as the sum of c * inner.pow_int(e), each power built on its
+    own (pow_int itself is checked against plain products below)."""
+    acc = TruncSeries.zero(f.field, prec)
+    for e, c in f.terms.items():
+        term = inner.pow_int(e).scale(c)
+        acc = acc + (term if prec is None else term.truncate(prec))
+    return acc
+
+
+@given(st.sampled_from([F2, F7, F9, F2_11]),
+       st.dictionaries(st.integers(min_value=-2, max_value=5),
+                       st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+       st.one_of(st.none(), st.integers(min_value=0, max_value=12)),
+       st.integers(min_value=0, max_value=30))
+@settings(max_examples=60, deadline=None)
+def test_pow_int_matches_repeated_products(field, terms, prec, e):
+    x = TruncSeries(field, {k: elem_of_code(field, c % field.q or 1) for k, c in terms.items()},
+                    prec)
+    expected = power_by_repeated_products(x, e)
+    assert x.pow_int(e) == expected
+
+
+@given(st.sampled_from([F2, F9, F16]),
+       st.dictionaries(st.integers(min_value=0, max_value=40),
+                       st.integers(min_value=1, max_value=8), max_size=8),
+       st.dictionaries(st.integers(min_value=1, max_value=6),
+                       st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+       st.one_of(st.none(), st.integers(min_value=20, max_value=60)),
+       st.one_of(st.none(), st.integers(min_value=7, max_value=30)))
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_sum_of_powers(field, outer, inner_terms, outer_prec, inner_prec):
+    f = TruncSeries(field, {e: elem_of_code(field, c % field.q or 1) for e, c in outer.items()},
+                    outer_prec)
+    inner = TruncSeries(field, {e: elem_of_code(field, c % field.q or 1)
+                                for e, c in inner_terms.items()}, inner_prec)
+    h = f.compose(inner)
+    lb = inner.ord_lower_bound()
+    prec = None if f.prec is None else f.prec * lb
+    if inner.prec is not None:
+        prec = inner.prec if prec is None else min(prec, inner.prec)
+    assert h.prec == prec
+    assert h.terms == compose_by_powers(f, inner, prec).terms
+
+
+def test_compose_sparse_exponents_with_several_digits():
+    # the exponents share the powers inner^(d 3^j) of their base-3 digits
+    inner = TruncSeries(F9, {1: F9.one, 2: F9.gen})
+    f = TruncSeries(F9, {3 ** 4 + 2 * 3 ** 2: F9.one, 2 * 3 ** 4 + 1: F9.gen, 5: F9.one}, 400)
+    h = f.compose(inner)
+    assert h.prec == 400
+    assert h.terms == compose_by_powers(f, inner, 400).terms
