@@ -80,21 +80,24 @@ def finite_places(q, max_degree):
     return out
 
 
-def carlitz_infty_log_abs(q, n_terms):
+def carlitz_infty_log_abs(q, n_terms, desk_limit=DESK_TOWER_LIMIT):
     """(log|pairing|_infty as LogQValue, the truncated 1-unit product).
 
     The value is q/(q-1) log q for every n_terms >= 1: the product of
     1 - zeta^(q^i - 1) is a 1-unit, so only beta^q contributes valuation.
+    That holds at any precision >= 1, so the precision is capped by the
+    desk limit: the exact product has up to 2^n_terms terms.
     """
     if n_terms < 1:
         raise ValueError("need at least one product term")
-    tower = LocalFieldTower.base(q, bound=max(64, q), prec=q ** n_terms + q + 8)
+    prec = max(1, min(q ** n_terms + q + 8, desk_limit))
+    tower = LocalFieldTower.base(q, bound=max(64, q), prec=prec)
     zeta = tower.uniformizer()
     tower, beta = solve_kummer(tower, q - 1, -zeta, name="beta")
     zeta = tower.lift_from(zeta)
     product = tower.one()
     for i in range(1, n_terms + 1):
-        product = product * (tower.one() - zeta.pow(q ** i - 1))
+        product = product * (tower.one() - zeta.pow(q ** i - 1)).truncate(tower.prec)
     assert product.ord() == 0
     assert product.leading_coeff() == tower.residue.one, "the product must be a 1-unit"
     total = beta.pow(q) * product
@@ -164,7 +167,7 @@ def carlitz_product_formula(q, max_degree, depth, desk_limit=DESK_TOWER_LIMIT):
     max_degree and the regularized tail; the total must vanish exactly."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    infty, _ = carlitz_infty_log_abs(q, max(depth, 1))
+    infty, _ = carlitz_infty_log_abs(q, max(depth, 1), desk_limit)
     values = [carlitz_v_log_abs(q, pl, depth, desk_limit)
               for pl in finite_places(q, max_degree)]
     zeta_a, _ = zeta_closed_forms(q)

@@ -8,10 +8,12 @@ Subcommands:
   zv          local zeta operator and Artin measure of a class function
   regularize  the four-term regularized value of a tail-convention sum
 
-Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input.
-All rational output is exact ('num/den', with an explicit log q marker where
-applicable); nothing is ever evaluated in floating point.  The environment
-variable FFP_TOWER_BOUND overrides the tower degree cap.
+Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input
+or a resource limit (a tower above the degree cap; the message starts
+'resource limit:').  All rational output is exact ('num/den', with an
+explicit log q marker where applicable); nothing is ever evaluated in
+floating point.  The environment variable FFP_TOWER_BOUND (an integer >= 1)
+overrides the tower degree cap.
 """
 
 import argparse
@@ -49,7 +51,7 @@ from .lfunctions import (
     zeta_closed_forms,
 )
 from .ratfunc import PoleOrZeroError, QPoly, RatFunc
-from .towers import TowerError
+from .towers import TowerBoundError, TowerError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -86,9 +88,12 @@ def _tower_bound(default):
     if env is None:
         return default
     try:
-        return int(env)
+        bound = int(env)
     except ValueError:
         raise InputError("FFP_TOWER_BOUND must be an integer, got %r" % env)
+    if bound < 1:
+        raise InputError("FFP_TOWER_BOUND must be >= 1, got %d" % bound)
+    return bound
 
 
 def _is_prime_power(n):
@@ -332,13 +337,19 @@ def cmd_regularize(args):
         lf = data.get("l_infty")
         if lf is None:
             raise InputError("non-trivial characters need an l_infty rational function")
-        l_infty = RatFunc(QPoly([_frac(c) for c in lf["num"]]),
-                          QPoly([_frac(c) for c in lf["den"]]))
+        try:
+            l_infty = RatFunc(QPoly([_frac(c) for c in lf["num"]]),
+                              QPoly([_frac(c) for c in lf["den"]]))
+        except ZeroDivisionError:
+            raise InputError("l_infty has a zero denominator")
         a_identity = _frac(data.get("a_identity", 1))
         mu_infty = LogQValue(_frac(data.get("mu_infty", 0)))
     explicit = []
     for row in data.get("explicit", []):
-        deg = int(row["degree"])
+        try:
+            deg = int(row["degree"])
+        except (KeyError, TypeError, ValueError):
+            raise InputError("explicit rows need an integer degree, got %r" % (row,))
         if character == "trivial":
             zv1 = Fraction(1, q ** deg - 1)
         else:
@@ -419,6 +430,9 @@ def main(argv=None):
     except (CrossCheckError,) as exc:
         print("cross-check failure: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
+    except TowerBoundError as exc:
+        print("resource limit: %s (FFP_TOWER_BOUND sets the cap)" % exc, file=sys.stderr)
+        return EXIT_INVALID
     except (TowerError, PoleOrZeroError, WildComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH

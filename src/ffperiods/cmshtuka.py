@@ -38,6 +38,7 @@ from .series import TruncSeries
 from .towers import (
     DEFAULT_TOWER_BOUND,
     LocalFieldTower,
+    TowerBoundError,
     TowerElem,
     TowerError,
     solve_additive_twist,
@@ -200,7 +201,7 @@ def component_tower(cm, i, bound=DEFAULT_TOWER_BOUND, prec=None):
     tower = tower.extend_unramified(c.f)
     if c.e > 1:
         z = tower.uniformizer()
-        tower = tower.extend_eisenstein([-z] + [tower.zero()] * (c.e - 1), name="pi")
+        tower = tower.extend_eisenstein({0: -z}, name="pi", degree=c.e)
     pi = tower.uniformizer()
     return tower, pi, _omega_or_one(tower, c.e)
 
@@ -299,7 +300,8 @@ def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
     qt = cm.q_tilde(i)
     base = c.f * c.e * max(qt - 1, 1)
     if base > bound:
-        raise TowerError("even depth 0 exceeds the tower bound")
+        raise TowerBoundError("even depth 0 needs tower degree %d, above the bound %d"
+                              % (base, bound))
     n = 0
     while n < cap and base * qt ** (n + 1) <= bound:
         n += 1

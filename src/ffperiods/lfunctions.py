@@ -98,7 +98,7 @@ class LocalGaloisDatum:
         tower = tower.extend_unramified(f)
         if e > 1:
             z = tower.uniformizer()
-            tower = tower.extend_eisenstein([-z] + [tower.zero()] * (e - 1), name="pi")
+            tower = tower.extend_eisenstein({0: -z}, name="pi", degree=e)
         elements = tame_group(q_v, f, e)
         mu_map = {g: mu_value(tower, g) for g in elements}
         return cls(

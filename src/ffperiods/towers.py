@@ -6,7 +6,10 @@ valuation normalized by v(z) = 1 and grows by two kinds of steps:
 * unramified steps, which enlarge the residue field, and
 * Eisenstein steps X^m + a_{m-1} X^{m-1} + ... + a_0 (monic, v(a_0) exactly
   one unit of the previous level, v(a_j) > 0 otherwise), which adjoin a new
-  uniformizer and multiply the ramification index by m.
+  uniformizer and multiply the ramification index by m.  A step is stored
+  sparsely, as the map {j: a_j} of a_0 and every coefficient that is not an
+  exact zero (an inexact zero O(T^k) is kept: it still bounds precision), so
+  an extension costs its nonzero coefficients, not its degree m.
 
 Every element is stored as a truncated sparse Laurent series in the *top*
 uniformizer with coefficients in the top residue field.  When a tower is
@@ -59,7 +62,9 @@ class LocalFieldTower:
         self.e_abs = e_abs
         self.f_abs = f_abs
         self.previous = previous
-        self.step = step  # None | ("unramified", f, embed) | ("eisenstein", coeffs, m)
+        # None | ("unramified", f, embed) | ("eisenstein", {j: a_j}, m), the map
+        # holding a_0 and every a_j that is not an exact zero, by increasing j
+        self.step = step
         self.bound = bound
         self.prec = prec
         self.name = name
@@ -94,16 +99,25 @@ class LocalFieldTower:
             ("unramified", f, embed), self.bound, self.prec, self.name,
         )
 
-    def extend_eisenstein(self, coeffs, name=None, prec=None):
-        """Adjoin a root of X^m + coeffs[m-1] X^(m-1) + ... + coeffs[0].
+    def extend_eisenstein(self, coeffs, name=None, prec=None, degree=None):
+        """Adjoin a root of X^m + a_{m-1} X^(m-1) + ... + a_0.
 
-        The root becomes the new uniformizer.  Coefficients are elements of
-        this tower; the polynomial must be Eisenstein within precision.
+        `coeffs` is the dense list [a_0, ..., a_{m-1}] (m = its length) or a
+        map {j: a_j} with the degree m given; absent indices are zero.  The
+        root becomes the new uniformizer.  Coefficients are elements of this
+        tower; the polynomial must be Eisenstein within precision.
         """
-        m = len(coeffs)
-        if m < 1:
-            raise ValueError("need at least the constant coefficient")
-        coeffs = [self.lift_from(c) for c in coeffs]
+        if isinstance(coeffs, dict):
+            if degree is None:
+                raise ValueError("a coefficient map needs its degree")
+            m, items = degree, sorted(coeffs.items())
+        else:
+            m, items = len(coeffs), enumerate(coeffs)
+        coeffs = {j: self.lift_from(c) for j, c in items}
+        if 0 not in coeffs or not all(0 <= j < m for j in coeffs):
+            raise ValueError("need the constant coefficient and indices 0 <= j < %d" % m)
+        coeffs = {j: c for j, c in coeffs.items()
+                  if j == 0 or c.series.terms or c.series.prec is not None}
         a0 = coeffs[0]
         if not a0.series.terms:
             raise NotEisensteinError("constant term not determined within precision")
@@ -111,7 +125,7 @@ class LocalFieldTower:
             raise NotEisensteinError(
                 "constant term has order %d in the current uniformizer, expected 1" % a0.ord()
             )
-        for j, c in enumerate(coeffs[1:], start=1):
+        for j, c in list(coeffs.items())[1:]:
             lb = c.series.ord_lower_bound()
             if c.series.terms:
                 if c.series.ord() <= 0:
@@ -125,7 +139,7 @@ class LocalFieldTower:
             prec = max(2 * self.e_abs * m + 32, 4 * m + 8)
         tower = LocalFieldTower(
             self.q_v, self.residue, self.e_abs * m, self.f_abs, self,
-            ("eisenstein", tuple(coeffs), m), self.bound, prec,
+            ("eisenstein", coeffs, m), self.bound, prec,
             name if name is not None else self.name + "'",
         )
         # force one re-expansion so a bad step fails here, not at first use
@@ -182,10 +196,7 @@ class LocalFieldTower:
         res = self.residue
         a0 = coeffs[0].series
         # pure Kummer step X^m - c*pi_old: exact monomial re-expansion
-        others_zero = all(
-            not c.series.terms and c.series.prec is None for c in coeffs[1:]
-        )
-        if others_zero and a0.prec is None and set(a0.terms) == {1}:
+        if len(coeffs) == 1 and a0.prec is None and set(a0.terms) == {1}:
             w = TruncSeries.monomial(res, m, (-a0.terms[1].inv()))
             self._prev_unif_cache[prec] = w
             return w
@@ -196,11 +207,9 @@ class LocalFieldTower:
         last_gain = None
         for _ in range(prec + 8):
             rhs = pi_m
-            for j in range(1, m):
-                cj = coeffs[j].series
-                if not cj.terms and cj.prec is None:
-                    continue
-                rhs = rhs + _subst(cj, w, prec) * TruncSeries.monomial(res, j)
+            for j, cj in coeffs.items():
+                if j:
+                    rhs = rhs + _subst(cj.series, w, prec) * TruncSeries.monomial(res, j)
             rhs = rhs.scale(-res.one)
             denom = _subst(u_series, w, prec)
             inv_target = prec
@@ -301,18 +310,16 @@ class LocalFieldTower:
             coeffs, m = t.step[1], t.step[2]
             pi = t.uniformizer()
             val = t.integer(m) * pi.pow(m - 1)
-            for j in range(1, m):
-                cj = coeffs[j]
-                if not cj.series.terms:
+            for j, cj in coeffs.items():
+                if not j or not cj.series.terms:
                     continue
                 val = val + t.lift_from(cj).scale_residue_int(j) * pi.pow(j - 1)
-            try:
-                total += val.valuation()
-            except InsufficientPrecisionError:
+            if not val.series.terms:
                 raise TowerError(
                     "derivative vanishes within precision: inseparable step or "
                     "precision too low at level %s" % t.name
                 )
+            total += val.valuation()
         return total
 
     def tame_shape(self):
@@ -334,7 +341,7 @@ class LocalFieldTower:
                     return None
                 seen_eis = True
                 coeffs, m = t.step[1], t.step[2]
-                if any(c.series.terms for c in coeffs[1:]):
+                if any(c.series.terms for j, c in coeffs.items() if j):
                     return None
                 a0 = coeffs[0].series
                 if a0.prec is not None or set(a0.terms) != {1}:
@@ -596,8 +603,7 @@ def solve_kummer(tower, m, a, name=None):
         tower, root_unit = unit_nth_root_with_extension(tower, unit, m)
         return tower, TowerElem(tower, root_unit.series.shift(r // m))
     if r == 1:
-        coeffs = [-a] + [tower.zero()] * (m - 1)
-        tower2 = tower.extend_eisenstein(coeffs, name=name)
+        tower2 = tower.extend_eisenstein({0: -a}, name=name, degree=m)
         return tower2, tower2.uniformizer()
     raise UnsupportedKummerError(
         "cannot take an m-th root at order %d (supported: 0 mod m, or 1)" % r
@@ -626,8 +632,8 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     ells = [ell0]
     for n in range(1, depth + 1):
         xi_here = tower.lift(xi)
-        coeffs = [-ells[-1], xi_here] + [tower.zero()] * (qt - 2)
-        tower = tower.extend_eisenstein(coeffs, name=(names[n] if names else None))
+        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi_here}, degree=qt,
+                                        name=(names[n] if names else None))
         ells = [tower.lift(e) for e in ells]
         ell_n = tower.uniformizer()
         assert ell_n.valuation() == v_xi * Fraction(1, qt ** n * (qt - 1))

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import ffperiods
 from ffperiods.cli import main
 
 
@@ -267,3 +271,62 @@ def test_zero_denominator_rational_exit_code(capsys, tmp_path):
     code, out, err = run(capsys, "regularize", "--config", str(reg))
     assert code == 2
     assert "bad rational '1/0'" in err
+
+
+def test_regularize_non_integer_degree_exit_code(capsys, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"schema": "1", "q": 2, "genus": 0, "character": "trivial",
+                               "explicit": [{"label": "t", "degree": "x", "x": "1"}]}))
+    code, out, err = run(capsys, "regularize", "--config", str(reg))
+    assert code == 2
+    assert "integer degree" in err
+
+
+def test_regularize_zero_l_infty_denominator_exit_code(capsys, tmp_path):
+    reg = tmp_path / "reg.json"
+    reg.write_text(json.dumps({"schema": "1", "q": 2, "genus": 0, "character": "user",
+                               "l_infty": {"num": ["1"], "den": ["0"]}, "explicit": []}))
+    code, out, err = run(capsys, "regularize", "--config", str(reg))
+    assert code == 2
+    assert "zero denominator" in err
+
+
+def test_tower_bound_error_is_a_resource_limit(capsys, tmp_path):
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 3,
+                              "components": [{"f": 1, "e": 2, "tame": True}]})
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,1)", "--depth", "40")
+    assert code == 2
+    assert err.startswith("resource limit:") and "FFP_TOWER_BOUND" in err
+
+
+@pytest.mark.parametrize("command", ["omega", "carlitz"])
+def test_tower_bound_env_below_one(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("FFP_TOWER_BOUND", "-5")
+    if command == "omega":
+        path = cm_file(tmp_path, {"schema": "1", "q_v": 3,
+                                  "components": [{"f": 1, "e": 2, "tame": True}]})
+        argv = ("omega", "--cm", path, "--phi", "(0,0,0)", "--psi", "(0,0,1)")
+    else:
+        argv = ("carlitz", "--q", "2")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "FFP_TOWER_BOUND must be >= 1" in err
+
+
+def test_carlitz_deep_depth_stays_within_memory():
+    # the exact 1-unit product at infinity has 2^depth terms unless its
+    # precision is capped; run under a 1 GiB address-space limit
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from ffperiods.cli import main\n"
+        "sys.exit(main(['carlitz', '--q', '2', '--max-degree', '2', '--depth', '40']))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ffperiods.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "infinite place: 2/1·log q" in proc.stdout

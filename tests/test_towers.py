@@ -9,6 +9,7 @@ from ffperiods.towers import (
     NotEisensteinError,
     TameAut,
     TowerBoundError,
+    TowerError,
     UnsupportedKummerError,
     derivative_congruence_check,
     mu_value,
@@ -335,3 +336,90 @@ def test_valuation_multiplicative_property(ta, tb):
         s = a + b
         if s.series.terms:
             assert s.valuation() >= min(a.valuation(), b.valuation())
+
+
+# -- sparse Eisenstein steps ----------------------------------------------------
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the TowerError it raised."""
+    try:
+        return ("value", fn())
+    except TowerError as exc:
+        return ("error", type(exc), str(exc))
+
+
+@st.composite
+def eisenstein_data(draw):
+    q_v = draw(st.sampled_from([2, 3, 4, 9]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    residue = st.integers(min_value=0, max_value=q_v - 1)
+    a0 = {1: draw(st.integers(min_value=1, max_value=q_v - 1))}
+    a0.update({e: draw(residue) for e in range(2, draw(st.integers(2, 4)))})
+    others = []
+    for _ in range(m - 1):
+        kind = draw(st.sampled_from(["exact zero", "inexact zero", "positive"]))
+        if kind == "positive":
+            others.append((kind, {e: draw(residue) for e in range(1, draw(st.integers(2, 4)))}))
+        else:
+            others.append((kind, draw(st.integers(min_value=1, max_value=4))))
+    return q_v, a0, others, draw(st.integers(min_value=1, max_value=24))
+
+
+@given(eisenstein_data())
+@settings(max_examples=60, deadline=None)
+def test_sparse_step_matches_dense_list(data):
+    q_v, a0_terms, others, prec = data
+    t = LocalFieldTower.base(q_v)
+    coeffs = [t.element(a0_terms).scale_coeff(-t.residue.one)]
+    for kind, spec in others:
+        if kind == "exact zero":
+            coeffs.append(t.zero())
+        elif kind == "inexact zero":
+            coeffs.append(t.zero(spec))
+        else:
+            coeffs.append(t.element(spec))
+    sparse = {j: c for j, c in enumerate(coeffs)
+              if j == 0 or c.series.terms or c.series.prec is not None}
+    dense = _outcome(lambda: t.extend_eisenstein(coeffs))
+    mapped = _outcome(lambda: t.extend_eisenstein(sparse, degree=len(coeffs)))
+    assert dense[0] == mapped[0]
+    if dense[0] == "error":
+        assert dense == mapped
+        return
+    t_dense, t_map = dense[1], mapped[1]
+    assert t_map.step[1] == sparse
+    for fn in (lambda t2: t2._prev_uniformizer(prec), lambda t2: t2.different_valuation(),
+               lambda t2: t2.tame_shape()):
+        assert _outcome(lambda: fn(t_dense)) == _outcome(lambda: fn(t_map))
+
+
+def test_sparse_step_index_out_of_range():
+    t = LocalFieldTower.base(3)
+    z = t.uniformizer()
+    for bad in ({0: -z, 3: z}, {-1: z, 0: -z}, {1: z}):
+        with pytest.raises(ValueError):
+            t.extend_eisenstein(bad, degree=3)
+    with pytest.raises(ValueError):
+        t.extend_eisenstein({0: -z})  # a map needs its degree
+    with pytest.raises(ValueError):
+        t.extend_eisenstein([])
+
+
+def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
+    # q_v = 2^18: the steps have degree 2^18 - 1 and 2^18, but two coefficients
+    calls = []
+    lift_from = LocalFieldTower.lift_from
+
+    def counting_lift_from(self, x):
+        calls.append(x)
+        return lift_from(self, x)
+
+    monkeypatch.setattr(LocalFieldTower, "lift_from", counting_lift_from)
+    t = LocalFieldTower.base(2 ** 18, bound=2 ** 40)
+    tower, ells = solve_frobenius_recursion(t, t.uniformizer(), 2 ** 18, 1)
+    steps = [lvl.step for lvl in tower.depth_levels()
+             if lvl.step is not None and lvl.step[0] == "eisenstein"]
+    assert [s[2] for s in steps] == [2 ** 18 - 1, 2 ** 18]
+    assert all(len(s[1]) <= 2 for s in steps)
+    assert len(calls) <= 8
