@@ -6,8 +6,8 @@ Three ingredients, all exact:
   from the tower F_q((beta)) with beta^(q-1) = -zeta and the 1-unit product
   prod_(i>=1) (1 - zeta^(q^i - 1));
 * per finite place v the series value log|pairing|_v = -(1/(q_v-1)) log q_v,
-  computed through the recursion tower (not the closed form) and checked to
-  have a simple pole in z - zeta and to equal -Z_v(1, 1) log q_v;
+  computed once per q_v through the recursion tower (not the closed form),
+  checked to have a simple pole in z - zeta and to equal -Z_v(1, 1) log q_v;
 * the tail of the divergent sum over the remaining places, regularized with
   the trivial tail character, genus 0 and no conductor term.
 
@@ -16,6 +16,7 @@ The grand total is exactly 0 * log q.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .cmshtuka import (
     CMAlgebra,
@@ -39,7 +40,7 @@ from .lfunctions import (
 )
 from .towers import LocalFieldTower, solve_kummer
 
-DESK_TOWER_LIMIT = 20000
+_INFTY_PREC_CAP = 20000  # precision cap of the infinite-place product
 
 
 class CrossCheckError(AssertionError):
@@ -80,23 +81,25 @@ def finite_places(q, max_degree):
     return out
 
 
-def carlitz_infty_log_abs(q, n_terms, desk_limit=DESK_TOWER_LIMIT):
+def carlitz_infty_log_abs(q, n_terms):
     """(log|pairing|_infty as LogQValue, the truncated 1-unit product).
 
     The value is q/(q-1) log q for every n_terms >= 1: the product of
     1 - zeta^(q^i - 1) is a 1-unit, so only beta^q contributes valuation.
-    That holds at any precision >= 1, so the precision is capped by the
-    desk limit: the exact product has up to 2^n_terms terms.
+    That holds at any precision >= 1, so the precision is capped, and the
+    product stops at the first factor that is 1 to that precision.
     """
     if n_terms < 1:
         raise ValueError("need at least one product term")
-    prec = max(1, min(q ** n_terms + q + 8, desk_limit))
+    prec = max(1, min(q ** n_terms + q + 8, _INFTY_PREC_CAP))
     tower = LocalFieldTower.base(q, bound=max(64, q), prec=prec)
     zeta = tower.uniformizer()
     tower, beta = solve_kummer(tower, q - 1, -zeta, name="beta")
     zeta = tower.lift_from(zeta)
     product = tower.one()
     for i in range(1, n_terms + 1):
+        if q ** i - 1 >= tower.prec:
+            break  # this factor and every later one is 1 + O(T^prec)
         product = product * (tower.one() - zeta.pow(q ** i - 1)).truncate(tower.prec)
     assert product.ord() == 0
     assert product.leading_coeff() == tower.residue.one, "the product must be a 1-unit"
@@ -112,33 +115,33 @@ class PlaceValue:
     place: Place
     log_abs: LogQValue  # log|pairing|_v
     z_v_at_one: Fraction  # Z_v(1, 1)
-    via_series: bool  # False when the tower bound forced the closed form
+    via_series: bool  # always True: every place takes the series route
     hat_order: int
 
 
-def carlitz_v_log_abs(q, place, depth, desk_limit=DESK_TOWER_LIMIT):
-    """log|pairing|_v at a finite place, through the recursion tower.
-
-    Falls back to the closed form (flagged via_series=False) when the tower
-    degree (q_v - 1) q_v^depth would exceed the desk limit.
-    """
-    if place.is_infinite:
-        raise ValueError("use carlitz_infty_log_abs at infinity")
-    q_v = place.q_v
-    deg = place.degree
+@lru_cache(maxsize=None)
+def _series_period(q_v, depth):
+    """(Z_v(1, 1), hat order, valuation) of the Carlitz period over a residue
+    field of size q_v, through the recursion tower to `depth`.  The period
+    depends on the place only through q_v, so each is computed once."""
     datum = LocalGaloisDatum.tame(q_v, 1, 1)
     zv1 = z_v_at_one(datum, ClassFunctionQ.trivial(datum))
-    needed = (q_v - 1) * q_v ** depth if q_v > 2 else q_v ** depth
-    if needed > desk_limit:
-        return PlaceValue(place, log_q_value(Fraction(-deg, q_v - 1)), zv1, False, 1)
     cm = CMAlgebra(q_v, [CMComponent(1, 1)])
     psi = Embedding(0, 0, 0)
-    pe = omega_period(cm, psi, psi, depth=depth, bound=max(needed, 2))
+    degree = (q_v - 1) * q_v ** depth if q_v > 2 else q_v ** depth
+    pe = omega_period(cm, psi, psi, depth=depth, bound=max(degree, 2))
     hat = hat_valuation(pe)
     if hat != 1:
-        raise CrossCheckError("pairing at %s has pole order %d, expected 1"
-                              % (place.label(), hat))
-    v_val = period_valuation_series(pe)
+        raise CrossCheckError("pairing at q_v = %d has pole order %d, expected 1" % (q_v, hat))
+    return zv1, hat, period_valuation_series(pe)
+
+
+def carlitz_v_log_abs(q, place, depth):
+    """log|pairing|_v at a finite place, through the recursion tower."""
+    if place.is_infinite:
+        raise ValueError("use carlitz_infty_log_abs at infinity")
+    deg = place.degree
+    zv1, hat, v_val = _series_period(place.q_v, depth)
     value = log_q_value(-v_val * deg)
     if value.coeff != -zv1 * deg:
         raise CrossCheckError(
@@ -162,14 +165,13 @@ class ProductFormulaReport:
         return all(pv.via_series for pv in self.places)
 
 
-def carlitz_product_formula(q, max_degree, depth, desk_limit=DESK_TOWER_LIMIT):
+def carlitz_product_formula(q, max_degree, depth):
     """Combine the infinite place, the direct values at places of degree <=
     max_degree and the regularized tail; the total must vanish exactly."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    infty, _ = carlitz_infty_log_abs(q, max(depth, 1), desk_limit)
-    values = [carlitz_v_log_abs(q, pl, depth, desk_limit)
-              for pl in finite_places(q, max_degree)]
+    infty, _ = carlitz_infty_log_abs(q, max(depth, 1))
+    values = [carlitz_v_log_abs(q, pl, depth) for pl in finite_places(q, max_degree)]
     zeta_a, _ = zeta_closed_forms(q)
     explicit = [
         ExplicitPlaceTerm(pv.place.label(), pv.place.degree, pv.log_abs, pv.z_v_at_one)

@@ -9,11 +9,11 @@ Subcommands:
   regularize  the four-term regularized value of a tail-convention sum
 
 Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input
-or a resource limit (a tower above the degree cap; the message starts
+or a resource limit (an omega tower above the degree cap; the message starts
 'resource limit:').  All rational output is exact ('num/den', with an
 explicit log q marker where applicable); nothing is ever evaluated in
 floating point.  The environment variable FFP_TOWER_BOUND (an integer >= 1)
-overrides the tower degree cap.
+overrides omega's tower degree cap; carlitz has no cap.
 """
 
 import argparse
@@ -51,7 +51,7 @@ from .lfunctions import (
     zeta_closed_forms,
 )
 from .ratfunc import PoleOrZeroError, QPoly, RatFunc
-from .towers import TowerBoundError, TowerError
+from .towers import DEFAULT_TOWER_BOUND, TowerBoundError, TowerError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -83,10 +83,10 @@ def _log_q_str(v):
     return "%s·log q" % _frac_str(v.coeff if isinstance(v, LogQValue) else v)
 
 
-def _tower_bound(default):
+def _tower_bound():
     env = os.environ.get("FFP_TOWER_BOUND")
     if env is None:
-        return default
+        return DEFAULT_TOWER_BOUND
     try:
         bound = int(env)
     except ValueError:
@@ -116,8 +116,7 @@ def cmd_carlitz(args):
         raise InputError("max-degree must be >= 1")
     if args.depth < 0:
         raise InputError("depth must be >= 0")
-    limit = _tower_bound(20000)
-    report = carlitz_product_formula(args.q, args.max_degree, args.depth, limit)
+    report = carlitz_product_formula(args.q, args.max_degree, args.depth)
     payload = report_as_dict(report)
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -126,10 +125,9 @@ def cmd_carlitz(args):
         print("  infinite place: %s" % _log_q_str(report.infty))
         print("  place           deg  q_v   log|.|_v        route")
         for pv in report.places:
-            route = "series" if pv.via_series else "closed-form (tower bound)"
-            print("  %-14s %4d %4d   %-14s %s"
+            print("  %-14s %4d %4d   %-14s series"
                   % (pv.place.label(), pv.place.degree, pv.place.q_v,
-                     _log_q_str(pv.log_abs), route))
+                     _log_q_str(pv.log_abs)))
         print("  regularized tail: %s" % _log_q_str(report.tail_value))
         print("    -Z^infty(1,0) = %s" % _log_q_str(-report.z_infty_at_zero.coeff))
         print("    conductor term = %s, genus term = %s"
@@ -212,7 +210,7 @@ def cmd_omega(args):
         return EXIT_OK
     if args.depth is not None and args.depth < 0:
         raise InputError("depth must be >= 0")
-    bound = _tower_bound(64)
+    bound = _tower_bound()
     depth = args.depth if args.depth is not None else max_recursion_depth(cm, phi.i, bound)
     pe = omega_period(cm, phi, psi, depth=depth, bound=bound)
     series = period_valuation_series(pe)

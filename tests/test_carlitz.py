@@ -1,7 +1,9 @@
+import time
 from fractions import Fraction
 
 import pytest
 
+from ffperiods import carlitz
 from ffperiods.carlitz import (
     CrossCheckError,
     Place,
@@ -63,14 +65,6 @@ def test_v_adic_matches_z_factor_at_every_place():
             assert pv.via_series
 
 
-def test_desk_limit_fallback_is_flagged():
-    F2 = FqField(2, 1)
-    pl = Place(2, PolyFq(F2, [1, 1, 1]))
-    pv = carlitz_v_log_abs(2, pl, depth=2, desk_limit=3)
-    assert not pv.via_series
-    assert pv.log_abs == log_q_value(Fraction(-2, 3))
-
-
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_product_formula_vanishes(q):
     report = carlitz_product_formula(q, 2, 2)
@@ -106,3 +100,31 @@ def test_infty_product_coefficients_exact():
     _, product = carlitz_infty_log_abs(2, 2)
     one = product.tower.residue.one
     assert product.series.terms == {0: one, 1: one, 3: one, 4: one}
+
+
+def test_infty_product_stops_once_factors_are_one():
+    # for q = 2 the factors past i = 14 are 1 + O(T^prec) at the capped
+    # precision, so a long product costs no more than a short one
+    start = time.perf_counter()
+    val, product = carlitz_infty_log_abs(2, 1000)
+    assert time.perf_counter() - start < 2
+    val14, product14 = carlitz_infty_log_abs(2, 14)
+    assert val == val14 == log_q_value(2)
+    # n_terms = 14 caps the precision lower (2^14 + 10), so compare there
+    assert product.series.truncate(product14.series.prec) == product14.series
+
+
+def test_series_period_computed_once_per_residue_degree(monkeypatch):
+    calls = []
+    omega_period = carlitz.omega_period
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].q_v)
+        return omega_period(*args, **kwargs)
+
+    monkeypatch.setattr(carlitz, "omega_period", counting)
+    carlitz._series_period.cache_clear()
+    report = carlitz_product_formula(16, 2, 2)
+    assert len(report.places) == 136
+    assert all(pv.via_series and pv.hat_order == 1 for pv in report.places)
+    assert sorted(calls) == [16, 256]

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ffperiods
 from ffperiods.cli import main
@@ -179,11 +182,12 @@ def test_regularize_pole_exit_code(capsys, tmp_path):
 
 def test_tower_bound_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FFP_TOWER_BOUND", "3")
-    # with the cap at 3 every degree-2 place falls back to the closed form
+    # the cap governs omega only: carlitz takes every place through the series
     code, out, err = run(capsys, "carlitz", "--q", "2", "--max-degree", "2",
                          "--depth", "2")
     assert code == 0
-    assert "closed-form (tower bound)" in out
+    assert "closed-form" not in out
+    assert out.count(" series\n") == 3
 
 
 def test_zv_char_file(capsys, tmp_path):
@@ -300,16 +304,13 @@ def test_tower_bound_error_is_a_resource_limit(capsys, tmp_path):
     assert err.startswith("resource limit:") and "FFP_TOWER_BOUND" in err
 
 
-@pytest.mark.parametrize("command", ["omega", "carlitz"])
+@pytest.mark.parametrize("command", ["omega"])
 def test_tower_bound_env_below_one(capsys, tmp_path, monkeypatch, command):
     monkeypatch.setenv("FFP_TOWER_BOUND", "-5")
-    if command == "omega":
-        path = cm_file(tmp_path, {"schema": "1", "q_v": 3,
-                                  "components": [{"f": 1, "e": 2, "tame": True}]})
-        argv = ("omega", "--cm", path, "--phi", "(0,0,0)", "--psi", "(0,0,1)")
-    else:
-        argv = ("carlitz", "--q", "2")
-    code, out, err = run(capsys, *argv)
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 3,
+                              "components": [{"f": 1, "e": 2, "tame": True}]})
+    code, out, err = run(capsys, command, "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,1)")
     assert code == 2
     assert "FFP_TOWER_BOUND must be >= 1" in err
 
@@ -330,3 +331,23 @@ def test_carlitz_deep_depth_stays_within_memory():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "infinite place: 2/1·log q" in proc.stdout
+
+
+PRIME_POWERS_TO_16 = {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
+
+
+@given(q=st.one_of(st.sampled_from(sorted(PRIME_POWERS_TO_16)), st.integers(-3, 40)),
+       max_degree=st.integers(-2, 2), depth=st.integers(-2, 3))
+@settings(max_examples=30, deadline=None)
+def test_carlitz_input_contract(q, max_degree, depth):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["carlitz", "--q=%d" % q, "--max-degree=%d" % max_degree,
+                     "--depth=%d" % depth, "--format", "json"])
+    valid = q in PRIME_POWERS_TO_16 and max_degree >= 1 and depth >= 0
+    assert code == (0 if valid else 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if valid:
+        assert json.loads(out.getvalue())["total"] == "0/1"
+    else:
+        assert err.getvalue().startswith("error: ")
