@@ -230,21 +230,26 @@ def poly_at_series(poly, point, prec, tower):
 
 def reversion(g, prec, tower):
     """Compositional inverse: given g with g(0) = 0 and unit g_1 coefficient,
-    return w(u) with g(w(u)) = u + O(u^prec)."""
+    return w(u) = sum b_n u^n with g(w(u)) = u + O(u^prec).
+
+    One pass (Brent and Kung 1978): [u^n] g(w) = g_1 b_n + sum_{r>=2} g_r
+    [u^n] w^r, and [u^n] w^r = sum_i b_i [u^(n-i)] w^(r-1) needs only b_i
+    with i < n; each b_n follows once, and one substitution checks the result.
+    """
     g1 = g.terms.get(1)
     if g1 is None or not g1.series.terms:
         raise ValueError("reversion needs an invertible linear coefficient")
-    g1_inv = g1.inv()
-    u = CoeffSeries.variable(tower, prec)
-    w = u.scale(g1_inv)
-    for _ in range(prec + 2):
-        # w <- (u - (g(w) - g1*w)) / g1
-        gw = g.substitute(w, prec)
-        err = gw - u
-        if err.is_zero_within_precision():
-            return w
-        w = w - err.scale(g1_inv)
-    err = g.substitute(w, prec) - u
-    if err.is_zero_within_precision():
-        return w
-    raise ValueError("series reversion did not converge")
+    g1_inv = tower.lift_from(g1.inv())
+    g_hi = {r: c for r, c in g.terms.items() if r >= 2}
+    b = {1: g1_inv}
+    powers = {1: b}  # r -> {n: [u^n] w^r}
+    for n in range(2, prec):
+        for r in range(2, min(n, max(g_hi, default=1)) + 1):
+            below = powers[r - 1]
+            powers.setdefault(r, {})[n] = sum(
+                (b[i] * below[n - i] for i in range(1, n - r + 2)), tower.zero())
+        b[n] = -sum((c * powers[r][n] for r, c in g_hi.items() if r <= n), tower.zero()) * g1_inv
+    w = CoeffSeries(tower, b, prec)
+    if not (g.substitute(w, prec) - CoeffSeries.variable(tower, prec)).is_zero_within_precision():
+        raise ValueError("series reversion did not converge")
+    return w

@@ -220,7 +220,7 @@ class FqField:
         self.gen = FqElem(self, tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
         self._exp = None
         self._log = None
-        self._exp_packed = None
+        self._exp_packed = self._elem_of_packed = None
         self._mul_gen = None
         self._ready = True
 
@@ -269,27 +269,33 @@ class FqField:
     def _packed_tables(self):
         """(log, packed exp) for the series product, or None above the table
         limit.  A packed entry holds the coefficient tuple of the exp entry in
-        one int, coefficient i in bits [64 i, 64 i + 64)."""
+        one int, coefficient i in bits [64 i, 64 i + 64); both halves of the
+        doubled table share it, and it keys its element for `_unpack_sums`."""
         if self.q > _LOG_TABLE_LIMIT:
             return None
         if self._exp_packed is None:
             if self._log is None:
                 self._build_tables()
-            self._exp_packed = [
-                sum(c << (_LANE_BITS * i) for i, c in enumerate(coeffs)) for coeffs in self._exp
-            ]
+            packed = [sum(c << (_LANE_BITS * i) for i, c in enumerate(coeffs))
+                      for coeffs in self._exp[:self.q - 1]]
+            self._exp_packed, self._elem_of_packed = packed + packed, {
+                v: FqElem(self, coeffs) for v, coeffs in zip(packed, self._exp)}
         return self._log, self._exp_packed
 
     def _unpack_sums(self, sums):
-        """{key: sum of packed entries} -> {key: FqElem}, each lane reduced
-        mod p once; keys whose sum is zero are dropped."""
+        """{key: sum of packed entries} -> {key: FqElem}, zero sums dropped.
+        A sum with every lane below p is an entry and maps straight to its
+        element; only the others are reduced mod p lane by lane."""
+        elem_of = self._elem_of_packed.get
         p, mask = self.p, (1 << _LANE_BITS) - 1
         shifts = range(0, _LANE_BITS * self.k, _LANE_BITS)
         out = {}
         for key, v in sums.items():
-            c = tuple([(v >> s & mask) % p for s in shifts])
-            if any(c):
-                out[key] = FqElem(self, c)
+            x = elem_of(v)
+            if x is None:
+                x = elem_of(sum((v >> s & mask) % p << s for s in shifts))
+            if x is not None:
+                out[key] = x
         return out
 
     def multiplicative_generator(self):

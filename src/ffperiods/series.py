@@ -11,9 +11,10 @@ Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
 coefficient is replaced by its discrete log once, the second operand is
 sorted by exponent so the pair loop stops at the output precision, and each
 pair adds one entry of the field's packed exp table (a coefficient tuple in
-one int, 64 bits per coefficient) to the sum of its exponent.  Every lane of
-a sum is reduced mod p once, when the output term is built.  Larger fields
-multiply FqElem by FqElem.
+one int, 64 bits per coefficient) to the sum of its exponent.  A sum whose
+lanes all stay below p is itself an entry and reads off its element; the
+others are reduced mod p once, when the output term is built.  Composition
+adds every scaled power into one such dict.  Larger fields use FqElems.
 """
 
 
@@ -106,7 +107,7 @@ class TruncSeries:
         )
 
     def __hash__(self):
-        return hash((id(self.field), tuple(sorted(self.terms.items(), key=lambda kv: kv[0])), self.prec))
+        return hash((id(self.field), tuple(sorted(self.terms.items())), self.prec))
 
     def agrees_with(self, other):
         """Equality up to the common precision."""
@@ -256,18 +257,13 @@ class TruncSeries:
             prec = None if lb is None else self.prec * max(lb, 1)
         if inner.prec is not None:
             prec = inner.prec if prec is None else min(prec, inner.prec)
-        if not self.terms:
-            return TruncSeries.zero(self.field, prec)
-        # term-by-term (the supports are sparse and exponents can be huge);
-        # the terms share the powers inner^(d p^j) their exponents' digits need
+        # term-by-term (sparse supports, huge exponents), sharing the powers
+        # inner^(d p^j) the exponents' digits need, summed in one dict
         power = _powers_of(inner, prec)
-        acc = TruncSeries.zero(self.field, prec)
         lb = inner.ord_lower_bound()
-        for e in sorted(self.terms):
-            if prec is not None and lb is not None and e * lb >= prec:
-                break
-            acc = acc + power(e).scale(self.terms[e])
-        return acc if prec is None else acc.truncate(prec)
+        kept = [e for e in sorted(self.terms) if prec is None or lb is None or e * lb < prec]
+        scaled = ((self.terms[e], power(e)) for e in kept)
+        return TruncSeries._of(self.field, _sum_scaled(self.field, scaled), prec)
 
     def frobenius_coeffs(self, n=1):
         """Raise every coefficient to its p^n power, exponents unchanged."""
@@ -343,6 +339,25 @@ def _powers_of(base, prec):
         return TruncSeries.one(base.field) if result is None else result
 
     return power
+
+
+def _sum_scaled(field, scaled):
+    """Terms of the sum of c * s over the pairs (c, s), in one dict of packed
+    sums where the field has tables (unpacked once), of FqElems otherwise."""
+    tables = field._packed_tables()
+    sums = {}
+    get = sums.get
+    if tables is None:
+        for c, s in scaled:
+            for e, d in s.terms.items():
+                sums[e] = get(e, field.zero) + c * d
+        return {e: x for e, x in sums.items() if x}
+    log, exp = tables
+    for c, s in scaled:
+        lc = log[c.c]
+        for e, d in s.terms.items():
+            sums[e] = get(e, 0) + exp[lc + log[d.c]]
+    return field._unpack_sums(sums)
 
 
 def _mul_packed(a, b, prec, log, exp):

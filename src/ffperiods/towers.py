@@ -16,7 +16,9 @@ uniformizer with coefficients in the top residue field.  When a tower is
 extended by an Eisenstein step, the previous uniformizer is re-expanded in
 the new one by a fixed-point iteration on the defining equation; the
 iteration must gain valuation at every sweep, otherwise the step data was
-not Eisenstein and we refuse to continue.  All valuations are exact
+not Eisenstein and we refuse to continue.  Each level memoizes the
+substitutions its lifts make, seeded by the converged sweep, so a lift from
+far below costs one new substitution per level.  All valuations are exact
 Fractions with denominator dividing the absolute ramification index.
 """
 
@@ -69,6 +71,7 @@ class LocalFieldTower:
         self.prec = prec
         self.name = name
         self._prev_unif_cache = {}  # prec -> TruncSeries
+        self._subst_memo = {}  # (series, w, prec) -> _subst(series, w, prec)
 
     # -- construction --------------------------------------------------------
 
@@ -206,18 +209,22 @@ class LocalFieldTower:
         w = TruncSeries.zero(res)  # exact zero start
         last_gain = None
         for _ in range(prec + 8):
+            todo = {u_series, *(cj.series for j, cj in coeffs.items() if j)}
+            sweep = {s: _subst(s, w, prec) for s in todo}  # memoized only on convergence
             rhs = pi_m
             for j, cj in coeffs.items():
                 if j:
-                    rhs = rhs + _subst(cj.series, w, prec) * TruncSeries.monomial(res, j)
+                    rhs = rhs + sweep[cj.series] * TruncSeries.monomial(res, j)
             rhs = rhs.scale(-res.one)
-            denom = _subst(u_series, w, prec)
+            denom = sweep[u_series]
             inv_target = prec
             if denom.prec is not None:
                 inv_target = min(inv_target, denom.prec)
             new_w = (rhs * denom.inv(inv_target)).truncate(prec)
             diff = new_w - w
             if not diff.terms:
+                if new_w == w:  # the lifts through new_w may reuse this sweep
+                    self._subst_memo.update(((s, w, prec), v) for s, v in sweep.items())
                 self._prev_unif_cache[prec] = new_w
                 return new_w
             lb = diff.ord()
@@ -263,7 +270,10 @@ class LocalFieldTower:
         w = self._prev_uniformizer(target)
         pos = TruncSeries(self.residue, {e: c for e, c in s.terms.items() if e >= 0},
                           s.prec)
-        out = _subst(pos, w, target)
+        key = (pos, w, target)
+        out = self._subst_memo.get(key)
+        if out is None:
+            out = self._subst_memo[key] = _subst(pos, w, target)
         negs = {e: c for e, c in s.terms.items() if e < 0}
         if negs:
             if w.prec is None and len(w.terms) == 1:
@@ -613,8 +623,8 @@ def solve_kummer(tower, m, a, name=None):
 def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     """Adjoin l_0^(qt-1) = -xi and l_n^qt + xi*l_n = l_(n-1) for n <= depth.
 
-    Returns (tower', [l_0..l_depth]), all in the final tower; asserts the
-    valuation law v(l_n) = v(xi) qt^(-n) / (qt-1) along the way.
+    Returns (tower', [l_0..l_depth]), all in the final tower; raises TowerError
+    where the valuation law v(l_n) = v(xi) qt^(-n) / (qt-1) fails.
     """
     q_v = tower.q_v
     qt = q_tilde
@@ -628,7 +638,8 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     if v_xi <= 0:
         raise ValueError("xi must have positive valuation")
     tower, ell0 = solve_kummer(tower, qt - 1, -xi, name=(names[0] if names else None))
-    assert ell0.valuation() == v_xi / (qt - 1)
+    if ell0.valuation() != v_xi / (qt - 1):
+        raise TowerError("l_0 breaks the valuation law v(l_0) = v(xi)/(qt-1)")
     ells = [ell0]
     for n in range(1, depth + 1):
         xi_here = tower.lift(xi)
@@ -636,7 +647,8 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
                                         name=(names[n] if names else None))
         ells = [tower.lift(e) for e in ells]
         ell_n = tower.uniformizer()
-        assert ell_n.valuation() == v_xi * Fraction(1, qt ** n * (qt - 1))
+        if ell_n.valuation() != v_xi * Fraction(1, qt ** n * (qt - 1)):
+            raise TowerError("l_%d breaks the valuation law v(l_n) = v(xi) qt^-n/(qt-1)" % n)
         ells.append(ell_n)
     ells = [tower.lift(e) for e in ells]
     return tower, ells

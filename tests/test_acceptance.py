@@ -122,7 +122,7 @@ def test_criterion_4_triangle_full_grid():
                 assert closed == via_l == series, (q_v, f, e, phi, psi)
                 checked += 1
     elapsed = time.time() - t0
-    assert elapsed < 60.0
+    assert elapsed < 5.0
     _report("criterion 4: series = closed form = Z - mu on %d grid pairs" % checked,
             elapsed)
 

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffperiods.coeffseries import CoeffSeries, poly_at_series, reversion
 from ffperiods.towers import LocalFieldTower
@@ -93,3 +94,67 @@ def test_substitute_does_linear_many_products(tower, n, monkeypatch):
     assert len(products) <= n
     assert out.prec == expected.prec
     assert (out - expected).is_zero_within_precision()
+
+
+# -- one-pass reversion against the fixed point --------------------------------
+
+
+def reversion_by_fixed_point(g, prec, tower):
+    """w <- w - (g(w) - u) / g_1 until g(w) = u + O(u^prec)."""
+    g1_inv = g.terms[1].inv()
+    u = CoeffSeries.variable(tower, prec)
+    w = u.scale(g1_inv)
+    for _ in range(prec + 2):
+        err = g.substitute(w, prec) - u
+        if err.is_zero_within_precision():
+            return w
+        w = w - err.scale(g1_inv)
+    raise AssertionError("the fixed point did not converge")
+
+
+def _residue_elem(field, code):
+    digits = []
+    for _ in range(field.k):
+        code, d = divmod(code, field.p)
+        digits.append(d)
+    return field.elem(digits)
+
+
+@st.composite
+def reversion_data(draw):
+    q_v = draw(st.sampled_from([2, 3, 4]))
+    element = st.dictionaries(st.integers(min_value=0, max_value=3),
+                              st.integers(min_value=1, max_value=q_v - 1), max_size=3)
+    g1 = draw(element.filter(bool))
+    # an empty map is a zero middle coefficient
+    higher = [draw(element) for _ in range(draw(st.integers(min_value=0, max_value=6)))]
+    return q_v, g1, higher, draw(st.integers(min_value=2, max_value=7))
+
+
+_kummer_towers = {}
+
+
+def _kummer_tower(q_v):
+    if q_v not in _kummer_towers:
+        t = LocalFieldTower.base(q_v)
+        _kummer_towers[q_v] = t.extend_eisenstein({0: -t.uniformizer()},
+                                                  degree=2 if q_v == 3 else 3)
+    return _kummer_towers[q_v]
+
+
+@given(reversion_data())
+@settings(max_examples=60, deadline=None)
+def test_reversion_matches_fixed_point(data):
+    q_v, g1, higher, prec = data
+    tower = _kummer_tower(q_v)
+
+    def elem(terms):
+        return tower.element({e: _residue_elem(tower.residue, c) for e, c in terms.items()})
+
+    g = CoeffSeries(tower, {1: elem(g1), **{r: elem(c) for r, c in enumerate(higher, 2)}})
+    w = reversion(g, prec, tower)
+    assert w.prec == prec
+    assert (g.substitute(w, prec) - CoeffSeries.variable(tower, prec)).is_zero_within_precision()
+    ref = reversion_by_fixed_point(g, prec, tower)
+    assert set(w.terms) == set(ref.terms)
+    assert (w - ref).is_zero_within_precision()

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ffperiods.fields import FqField
+from ffperiods.fields import FqElem, FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 
 F2 = FqField(2, 1)
@@ -249,3 +249,36 @@ def test_compose_sparse_exponents_with_several_digits():
     h = f.compose(inner)
     assert h.prec == 400
     assert h.terms == compose_by_powers(f, inner, 400).terms
+
+
+def reduce_lanes(field, v):
+    """A packed sum read lane by lane, each lane mod p."""
+    mask = (1 << 64) - 1
+    return tuple((v >> (64 * i) & mask) % field.p for i in range(field.k))
+
+
+@given(st.sampled_from([F2, F7, F9, F16]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_unpack_sums_matches_lane_reduction(field, data):
+    log, exp = field._packed_tables()
+    entry = st.integers(min_value=0, max_value=len(exp) - 1)
+    sums = {
+        # one entry: already reduced, looked up directly
+        "single": exp[data.draw(entry)],
+        # any number of entries: lanes may or may not stay below p
+        "several": sum(exp[i] for i in data.draw(st.lists(entry, min_size=2, max_size=9))),
+        # an element and its negative: every lane is 0 or p, the sum is 0
+        "zero": exp[0] + exp[log[(-field.one).c]],
+    }
+    if field.q > field.p:
+        # 1 + gen: two entries whose lanes stay below p, a hit on another entry
+        sums["hit"] = exp[0] + exp[log[field.gen.c]]
+    out = field._unpack_sums(sums)
+    for key, v in sums.items():
+        c = reduce_lanes(field, v)
+        if any(c):
+            assert out[key] == FqElem(field, c)
+        else:
+            assert key not in out
+    # an entry reads off the field's one shared element
+    assert field._unpack_sums(sums)["single"] is out["single"]

@@ -1,7 +1,11 @@
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ffperiods import towers
+from ffperiods.cmshtuka import CMAlgebra, CMComponent, omega_period
 from ffperiods.fields import FqField
 from ffperiods.series import TruncSeries
 from ffperiods.towers import (
@@ -9,6 +13,7 @@ from ffperiods.towers import (
     NotEisensteinError,
     TameAut,
     TowerBoundError,
+    TowerElem,
     TowerError,
     UnsupportedKummerError,
     derivative_congruence_check,
@@ -423,3 +428,57 @@ def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
     assert [s[2] for s in steps] == [2 ** 18 - 1, 2 ** 18]
     assert all(len(s[1]) <= 2 for s in steps)
     assert len(calls) <= 8
+
+
+# -- each substitution once -------------------------------------------------------
+
+
+def test_omega_period_substitutes_nothing_twice(monkeypatch):
+    # every towers._subst call, keyed by the tower that makes it
+    calls = Counter()
+    subst = towers._subst
+
+    def recording_subst(series, w, prec):
+        frame = sys._getframe(1)
+        while not isinstance(frame.f_locals.get("self"), LocalFieldTower):
+            frame = frame.f_back
+        calls[frame.f_locals["self"], series, w, prec] += 1
+        return subst(series, w, prec)
+
+    monkeypatch.setattr(towers, "_subst", recording_subst)
+    cm = CMAlgebra(9, [CMComponent(1, 8)])
+    phi, psi = cm.embeddings()[:2]
+    omega_period(cm, phi, psi, depth=3, bound=10 ** 5)
+    repeated = [(key[0].name, key[3], n) for key, n in calls.items() if n > 1]
+    assert calls and not repeated
+
+
+@given(st.sampled_from([2, 3, 4]), st.integers(min_value=2, max_value=4),
+       st.dictionaries(st.integers(min_value=-1, max_value=6),
+                       st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
+       st.integers(min_value=9, max_value=30), st.integers(min_value=9, max_value=30))
+@settings(max_examples=40, deadline=None)
+def test_lift_at_two_precisions_truncates_correctly(q_v, m, terms, p1, p2):
+    # a fresh tower per precision is the reference: the memo must not hand
+    # one target's substitution to another (targets above 2m, where the
+    # negative powers of the old uniformizer can be inverted)
+    def fresh():
+        t = LocalFieldTower.base(q_v)
+        z = t.uniformizer()
+        return t, t.extend_eisenstein({0: -z, 1: z * z}, degree=m)
+
+    terms = {e: c % q_v or 1 for e, c in terms.items()}
+    base, top = fresh()
+    got = [top.lift(base.element(terms), p) for p in (p1, p2, p1)]
+    for p, y in zip((p1, p2, p1), got):
+        base2, top2 = fresh()
+        assert y.series == top2.lift(base2.element(terms), p).series
+
+
+@pytest.mark.parametrize("q_v, law", [(3, "l_0"), (2, "l_1")])
+def test_recursion_valuation_law_raises(monkeypatch, q_v, law):
+    # a wrong valuation must stop the solver even under python -O
+    monkeypatch.setattr(TowerElem, "valuation", lambda self: Fraction(1))
+    t = LocalFieldTower.base(q_v, bound=10 ** 4)
+    with pytest.raises(TowerError, match=law):
+        solve_frobenius_recursion(t, t.uniformizer(), q_v, 1)
