@@ -131,7 +131,7 @@ def hensel_t_of_z(model, place_poly, depth):
 
 def _sigma_twist_poly(poly, q, n=1):
     """sigma^n on a t-polynomial: coefficients to the q^n power, t fixed."""
-    return poly.coeff_pow_map(lambda c: c.pow(q ** n))
+    return poly.map_coeffs(lambda c: c.pow(q ** n))
 
 
 def amotive_to_local_shtuka(model, place_poly, depth):
@@ -212,7 +212,7 @@ def z_series_hat_order(series, zeta, max_order=None):
     precision', which is the honest notion here.
     """
     tower = zeta.tower
-    bound = series.prec if series.prec is not None else series.degree_bound() + 1
+    bound = series.prec if series.prec is not None else max(series.terms, default=0) + 1
     shift = CoeffSeries(tower, {0: zeta, 1: tower.one()}, bound)
     around = poly_at_series(series, shift, bound, tower)
     limit = bound if max_order is None else min(bound, max_order + 1)

@@ -21,6 +21,7 @@ from functools import lru_cache
 from .cmshtuka import (
     CMAlgebra,
     CMComponent,
+    CrossCheckError,
     Embedding,
     hat_valuation,
     omega_period,
@@ -41,10 +42,6 @@ from .lfunctions import (
 from .towers import LocalFieldTower, solve_kummer
 
 _INFTY_PREC_CAP = 20000  # precision cap of the infinite-place product
-
-
-class CrossCheckError(AssertionError):
-    """A direct place value disagrees with its L-factor counterpart."""
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,14 @@ def carlitz_infty_log_abs(q, n_terms):
         if q ** i - 1 >= tower.prec:
             break  # this factor and every later one is 1 + O(T^prec)
         product = product * (tower.one() - zeta.pow(q ** i - 1)).truncate(tower.prec)
-    assert product.ord() == 0
-    assert product.leading_coeff() == tower.residue.one, "the product must be a 1-unit"
+    if product.ord() != 0 or product.leading_coeff() != tower.residue.one:
+        raise CrossCheckError("the infinite-place product is not a 1-unit")
     total = beta.pow(q) * product
     # |pairing|_infty = |(beta^q * product)^(-1)| = q^(+v(beta^q * product))
     value = log_q_value(total.valuation())
-    assert value.coeff == Fraction(q, q - 1)
+    if value.coeff != Fraction(q, q - 1):
+        raise CrossCheckError("infinite place gives %s log q, expected %s"
+                              % (value.coeff, Fraction(q, q - 1)))
     return value, product
 
 

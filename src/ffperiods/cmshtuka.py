@@ -59,6 +59,11 @@ class AmbiguousLeadingTermError(ArithmeticError):
     pass
 
 
+class CrossCheckError(AssertionError):
+    """Two independent routes to one value disagree (raised, not asserted,
+    so that python -O keeps the check)."""
+
+
 @dataclass(frozen=True)
 class CMComponent:
     f: int
@@ -564,7 +569,7 @@ def tau_invariant_unit_part(shtuka, depth, bound=DEFAULT_TOWER_BOUND):
             if series is None:
                 continue
             lifted = _lift_eps(tower, series, depth + 1)
-            twisted = lifted.coeff_pow_map(lambda x, s=step: x.frobenius_power(s))
+            twisted = lifted.map_coeffs(lambda x, s=step: x.frobenius_power(s))
             eps_total = (eps_total * twisted).truncate(depth + 1)
         b = [eps_total.coeff(n) for n in range(depth + 1)]
         if not b[0].series.terms or b[0].ord() != 0:
@@ -586,7 +591,7 @@ def tau_invariant_unit_part(shtuka, depth, bound=DEFAULT_TOWER_BOUND):
         comps = {0: CoeffSeries(tower, {n: gammas[n] * c00 for n in range(depth + 1)},
                                 depth + 1)}
         for j in range(1, c.f):
-            sigma_prev = comps[j - 1].coeff_pow_map(lambda x: x.frobenius_power(1))
+            sigma_prev = comps[j - 1].map_coeffs(lambda x: x.frobenius_power(1))
             series = shtuka.eps_series(i, j)
             if series is not None:
                 sigma_prev = (_lift_eps(tower, series, depth + 1) * sigma_prev
@@ -598,9 +603,9 @@ def tau_invariant_unit_part(shtuka, depth, bound=DEFAULT_TOWER_BOUND):
     # cyclic verification: c_(i,j) = eps_(i,j) sigma(c_(i,j-1)) including wrap
     for i, c in enumerate(cm.components):
         for j in range(c.f):
-            lhs = out[(i, j)].map_to(tower)
-            prev = out[(i, (j - 1) % c.f)].map_to(tower)
-            rhs = prev.coeff_pow_map(lambda x: x.frobenius_power(1))
+            lhs = out[(i, j)].map_coeffs(tower.lift_from, tower)
+            prev = out[(i, (j - 1) % c.f)].map_coeffs(tower.lift_from, tower)
+            rhs = prev.map_coeffs(lambda x: x.frobenius_power(1))
             series = shtuka.eps_series(i, j)
             if series is not None:
                 rhs = (_lift_eps(tower, series, depth + 1) * rhs).truncate(depth + 1)
@@ -798,7 +803,8 @@ def cm_period_valuation(cm, phi_type, psi, u_scaling=None, omega_scaling=None):
         values = {e2.to_tame(cm): d for e2, d in phi_type.items() if e2.i == i}
         a, _ = cm_characters(datum, values, psi.to_tame(cm))
         l_route = z_v_at_one(datum, a) - mu_art_v(datum, a)
-        assert l_route == total_closed, (l_route, total_closed)
+        if l_route != total_closed:
+            raise CrossCheckError("L-route %s != closed form %s" % (l_route, total_closed))
     return total_closed + u_scaling.v_psi_u(cm, psi) + omega_scaling.x_leading_valuation
 
 
@@ -833,7 +839,8 @@ def averaged_period_valuation(cm, phi_type, psi, scalings_per_eta=None):
     values = {e2.to_tame(cm): d for e2, d in phi_type.items() if e2.i == i}
     _, a0 = cm_characters(datum, values, psi.to_tame(cm))
     formula = z_v_at_one(datum, a0) - mu_art_v(datum, a0) + scaling_avg
-    assert direct == formula, (direct, formula)
+    if direct != formula:
+        raise CrossCheckError("averaged periods %s != averaged formula %s" % (direct, formula))
     return direct
 
 

@@ -1,4 +1,4 @@
-"""Sparse, precision-tracked (truncated) Laurent series over a finite field.
+"""Sparse, precision-tracked (truncated) Laurent series over a coefficient ring.
 
 A TruncSeries is a finite map {exponent -> nonzero coefficient} together with
 a precision bound ``prec``: every coefficient of T^m with m < prec is known
@@ -7,6 +7,13 @@ exactly, nothing is claimed beyond.  ``prec = None`` marks an exact series
 tightest provable precision of its output; when a needed leading term is not
 determined inside the known range the operation raises rather than guessing.
 
+The coefficient ring is an FqField, or a LocalFieldTower for the series with
+tower-element coefficients (see coeffseries.py).  The ring supplies what the
+core asks of a field: coercion (``elem``), the characteristic ``p``, and
+``_packed_tables()``; its elements supply ``+ - * ** inv`` and ``is_zero()``,
+which for a tower element means "no visible term".  A coefficient that is
+zero in that sense is not stored.
+
 Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
 coefficient is replaced by its discrete log once, the second operand is
 sorted by exponent so the pair loop stops at the output precision, and each
@@ -14,7 +21,8 @@ pair adds one entry of the field's packed exp table (a coefficient tuple in
 one int, 64 bits per coefficient) to the sum of its exponent.  A sum whose
 lanes all stay below p is itself an entry and reads off its element; the
 others are reduced mod p once, when the output term is built.  Composition
-adds every scaled power into one such dict.  Larger fields use FqElems.
+adds every scaled power into one such dict.  Other rings use their elements.
+Inversion is Newton iteration, doubling the known precision at every step.
 """
 
 
@@ -42,7 +50,7 @@ class TruncSeries:
 
     @classmethod
     def _of(cls, field, terms, prec):
-        """Wrap terms that are already nonzero FqElems of `field` below prec."""
+        """Wrap terms that are already nonzero elements of `field` below prec."""
         self = object.__new__(cls)
         self.field = field
         self.terms = terms
@@ -51,15 +59,15 @@ class TruncSeries:
 
     @classmethod
     def zero(cls, field, prec=None):
-        return cls(field, {}, prec)
+        return cls._of(field, {}, prec)
 
     @classmethod
     def one(cls, field, prec=None):
-        return cls(field, {0: field.one}, prec)
+        return cls(field, {0: 1}, prec)
 
     @classmethod
     def monomial(cls, field, exponent, coeff=None, prec=None):
-        return cls(field, {exponent: field.one if coeff is None else coeff}, prec)
+        return cls(field, {exponent: 1 if coeff is None else coeff}, prec)
 
     # -- structure ----------------------------------------------------------
 
@@ -95,7 +103,8 @@ class TruncSeries:
     def coeff(self, e):
         if self.prec is not None and e >= self.prec:
             raise InsufficientPrecisionError("coefficient of T^%d beyond O(T^%d)" % (e, self.prec))
-        return self.terms.get(e, self.field.zero)
+        c = self.terms.get(e)
+        return self.field.elem(0) if c is None else c
 
     def __eq__(self, other):
         """Equality of the stored data (same terms and same precision)."""
@@ -115,10 +124,10 @@ class TruncSeries:
         return not d.terms
 
     def __repr__(self):
-        items = sorted(self.terms.items())
+        one = self.field.elem(1)
         body = " + ".join(
-            ("%r" % c if e == 0 else ("%r*T^%d" % (c, e) if c != self.field.one else "T^%d" % e))
-            for e, c in items
+            ("%r" % c if e == 0 else ("%r*T^%d" % (c, e) if c != one else "T^%d" % e))
+            for e, c in sorted(self.terms.items())
         )
         if not body:
             body = "0"
@@ -129,6 +138,8 @@ class TruncSeries:
     # -- arithmetic ----------------------------------------------------------
 
     def _common_prec(self, other):
+        if other.field is not self.field:
+            raise ValueError("series over different coefficient rings")
         if self.prec is None:
             return other.prec
         if other.prec is None:
@@ -138,19 +149,22 @@ class TruncSeries:
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if other.field is not self.field:
-            raise ValueError("series over different coefficient fields")
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, self.field.zero) + c
-            if s.is_zero():
-                t.pop(e, None)
+        prec = self._common_prec(other)
+        t = dict(self.terms) if self.prec == prec else _below(self.terms, prec)
+        for e, c in (other.terms if other.prec == prec else _below(other.terms, prec)).items():
+            s = t.get(e)
+            if s is None:
+                t[e] = c
             else:
-                t[e] = s
-        return TruncSeries(self.field, t, self._common_prec(other))
+                s = s + c
+                if s.is_zero():
+                    del t[e]
+                else:
+                    t[e] = s
+        return self._of(self.field, t, prec)
 
     def __neg__(self):
-        return TruncSeries(self.field, {e: -c for e, c in self.terms.items()}, self.prec)
+        return self._of(self.field, {e: -c for e, c in self.terms.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-other)
@@ -158,8 +172,7 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        if other.field is not self.field:
-            raise ValueError("series over different coefficient fields")
+        self._common_prec(other)  # the rings must match
         # output precision: min over the unknown-tail contributions
         prec = None
         if self.prec is not None:
@@ -171,74 +184,59 @@ class TruncSeries:
             prec = p2 if prec is None else min(prec, p2)
         tables = self.field._packed_tables()
         if tables is not None:
-            return TruncSeries._of(self.field, _mul_packed(self, other, prec, *tables), prec)
-        t = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                if prec is not None and e >= prec:
-                    continue
-                s = t.get(e)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s.is_zero():
-                    t.pop(e, None)
-                else:
-                    t[e] = s
-        return TruncSeries(self.field, t, prec)
+            return self._of(self.field, _mul_packed(self, other, prec, *tables), prec)
+        scaled = ((c, e, other) for e, c in self.terms.items())
+        return self._of(self.field, _sum_scaled(self.field, scaled, prec), prec)
 
     def scale(self, c):
         c = self.field.elem(c)
-        return TruncSeries(self.field, {e: x * c for e, x in self.terms.items()}, self.prec)
+        if c.is_zero():
+            return self.zero(self.field, self.prec)
+        return self._of(self.field, {e: x * c for e, x in self.terms.items()}, self.prec)
 
     def shift(self, k):
         """Multiply by T^k."""
-        return TruncSeries(
-            self.field,
-            {e + k: c for e, c in self.terms.items()},
-            None if self.prec is None else self.prec + k,
-        )
+        return self._of(self.field, {e + k: c for e, c in self.terms.items()},
+                        None if self.prec is None else self.prec + k)
 
     def truncate(self, prec):
         if self.prec is not None and prec > self.prec:
             prec = self.prec
-        return TruncSeries._of(self.field, {e: c for e, c in self.terms.items() if e < prec}, prec)
+        return self._of(self.field, _below(self.terms, prec), prec)
 
     def inv(self, prec=None):
-        """Multiplicative inverse.
+        """Multiplicative inverse to O(T^prec).
 
-        For an exact monomial the result is exact.  Otherwise a target
-        precision is needed (defaults to the input's own precision window).
+        For an exact monomial the result is exact.  Otherwise prec defaults
+        to the input's own window, self.prec - 2 ord, and may not exceed it.
+        The inverse g of the unit part f = self / T^ord is 1/f_0 up to the
+        first nonzero exponent of f - f_0, and from there Newton iteration,
+        g <- g + g (1 - f g), doubles the precision to which g is known; g is
+        carried as exact, which the step justifies.
         """
         if not self.terms:
             if self.prec is None:
                 raise ZeroDivisionError("inverse of the zero series")
             raise InsufficientPrecisionError("inverse of a series with no visible term")
         m = self.ord()
-        c0 = self.terms[m]
+        c0_inv = self.terms[m].inv()
         if len(self.terms) == 1 and self.prec is None:
-            return TruncSeries(self.field, {-m: c0.inv()})
+            return self._of(self.field, {-m: c0_inv}, None)
         if prec is None:
             if self.prec is None:
                 raise ValueError("inv of an exact non-monomial needs a target precision")
             prec = self.prec - 2 * m
-        else:
-            if self.prec is not None and prec > self.prec - 2 * m:
-                raise InsufficientPrecisionError(
-                    "cannot invert to O(T^%d): input only known to O(T^%d)" % (prec, self.prec)
-                )
-        # u = 1 - self/(c0 T^m); inverse = (1/(c0 T^m)) * sum u^j
-        rel_prec = prec + m  # precision for the unit-part inverse
-        unit = self.shift(-m).scale(c0.inv()).truncate(rel_prec)
-        u = TruncSeries.one(self.field, rel_prec) - unit
-        acc = TruncSeries.one(self.field, rel_prec)
-        term = TruncSeries.one(self.field, rel_prec)
-        u_lb = u.ord_lower_bound()
-        if u_lb is not None and u_lb <= 0:
-            raise AssertionError("unit normalization failed")
-        while term.terms:
-            term = (term * u).truncate(rel_prec)
-            acc = acc + term
-        return acc.shift(-m).scale(c0.inv())
+        elif self.prec is not None and prec > self.prec - 2 * m:
+            raise InsufficientPrecisionError(
+                "cannot invert to O(T^%d): input only known to O(T^%d)" % (prec, self.prec)
+            )
+        f, g = self.shift(-m), self._of(self.field, {0: c0_inv}, None)
+        known = min((e for e in f.terms if e), default=prec + m)
+        while known < prec + m:
+            known = min(2 * known, prec + m)
+            err = self.one(self.field) - f.truncate(known) * g  # O(T^known)
+            g = self._of(self.field, (g + g * err).terms, None)
+        return g.truncate(prec + m).shift(-m)
 
     def compose(self, inner):
         """Substitute `inner` (ord >= 1) for the variable.
@@ -262,59 +260,54 @@ class TruncSeries:
         power = _powers_of(inner, prec)
         lb = inner.ord_lower_bound()
         kept = [e for e in sorted(self.terms) if prec is None or lb is None or e * lb < prec]
-        scaled = ((self.terms[e], power(e)) for e in kept)
-        return TruncSeries._of(self.field, _sum_scaled(self.field, scaled), prec)
+        scaled = ((self.terms[e], 0, power(e)) for e in kept)
+        return self._of(self.field, _sum_scaled(self.field, scaled), prec)
 
     def frobenius_coeffs(self, n=1):
         """Raise every coefficient to its p^n power, exponents unchanged."""
-        return TruncSeries(
-            self.field, {e: c.frobenius(n) for e, c in self.terms.items()}, self.prec
-        )
+        return self._of(self.field, {e: c.frobenius(n) for e, c in self.terms.items()},
+                        self.prec)
 
-    def pow_int(self, n):
+    def pow_int(self, n, prec=None):
+        """self^n, truncated to prec unless prec is None."""
         if n < 0:
-            return self.inv().pow_int(-n)
-        return _powers_of(self, None)(n)
+            return self.inv(prec).pow_int(-n, prec)
+        return _powers_of(self, prec)(n)
 
     def _pow_char_p(self):
-        p = self.field.p
-        return TruncSeries(
-            self.field,
-            {e * p: c ** p for e, c in self.terms.items()},
-            None if self.prec is None else self._char_p_prec(),
-        )
-
-    def _char_p_prec(self):
         # (f + O(T^N))^p = f^p + O(T^(N + (p-1)*min(ord, N)))
-        p = self.field.p
-        lb = self.ord_lower_bound()
-        if lb is None:
-            return None
-        return self.prec + (p - 1) * min(lb, self.prec)
+        p, prec = self.field.p, self.prec
+        if prec is not None:
+            prec += (p - 1) * min(self.ord_lower_bound(), prec)
+        terms = {e * p: c ** p for e, c in self.terms.items()}
+        return self._of(self.field, terms if prec is None else _below(terms, prec), prec)
 
     def derivative(self):
-        return TruncSeries(
-            self.field,
-            {e - 1: c.scale_int(e) for e, c in self.terms.items() if e % self.field.p != 0},
-            None if self.prec is None else self.prec - 1,
-        )
+        p = self.field.p
+        return self._of(self.field,
+                        {e - 1: c.scale_int(e) for e, c in self.terms.items() if e % p != 0},
+                        None if self.prec is None else self.prec - 1)
 
     def map_coeffs(self, fn, new_field=None):
-        """Apply fn to every coefficient (e.g. a field embedding)."""
-        f = new_field if new_field is not None else self.field
+        """Apply fn to every coefficient (a field embedding, a lift to a
+        higher tower, a Frobenius power), dropping the results that vanish."""
         t = {}
         for e, c in self.terms.items():
             v = fn(c)
             if not v.is_zero():
                 t[e] = v
-        return TruncSeries(f, t, self.prec)
+        return self._of(self.field if new_field is None else new_field, t, self.prec)
+
+
+def _below(terms, prec):
+    return dict(terms) if prec is None else {e: c for e, c in terms.items() if e < prec}
 
 
 def _powers_of(base, prec):
     """The map e -> base^e (e >= 0), truncated to prec unless prec is None.
 
     base^e is the product over the base-p digits d_j of e of base^(d_j p^j),
-    where base^(p^j) comes from char-p powering (coefficient Frobenius and
+    where base^(p^j) comes from char-p powering (coefficient p-th powers and
     exponent scaling).  Each base^(d p^j) is built once and shared by every
     later call whose exponent has that digit.
     """
@@ -336,27 +329,33 @@ def _powers_of(base, prec):
                     row.append(cut(row[-1] * row[1]))
                 result = row[d] if result is None else cut(result * row[d])
             j += 1
-        return TruncSeries.one(base.field) if result is None else result
+        return base.one(base.field) if result is None else result
 
     return power
 
 
-def _sum_scaled(field, scaled):
-    """Terms of the sum of c * s over the pairs (c, s), in one dict of packed
-    sums where the field has tables (unpacked once), of FqElems otherwise."""
+def _sum_scaled(field, scaled, prec=None):
+    """Terms below prec of the sum of c T^k s over the triples (c, k, s), in
+    one dict of packed sums where the field has tables (unpacked once), of
+    ring elements otherwise (a sum vanishes only once it is complete)."""
     tables = field._packed_tables()
     sums = {}
     get = sums.get
     if tables is None:
-        for c, s in scaled:
+        for c, k, s in scaled:
             for e, d in s.terms.items():
-                sums[e] = get(e, field.zero) + c * d
-        return {e: x for e, x in sums.items() if x}
+                e += k
+                if prec is None or e < prec:
+                    x, y = get(e), c * d
+                    sums[e] = y if x is None else x + y
+        return {e: x for e, x in sums.items() if not x.is_zero()}
     log, exp = tables
-    for c, s in scaled:
+    for c, k, s in scaled:
         lc = log[c.c]
         for e, d in s.terms.items():
-            sums[e] = get(e, 0) + exp[lc + log[d.c]]
+            e += k
+            if prec is None or e < prec:
+                sums[e] = get(e, 0) + exp[lc + log[d.c]]
     return field._unpack_sums(sums)
 
 

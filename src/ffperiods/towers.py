@@ -61,6 +61,7 @@ class LocalFieldTower:
     def __init__(self, q_v, residue, e_abs, f_abs, previous, step, bound, prec, name):
         self.q_v = q_v
         self.residue = residue
+        self.p = residue.p
         self.e_abs = e_abs
         self.f_abs = f_abs
         self.previous = previous
@@ -155,6 +156,15 @@ class LocalFieldTower:
         if not isinstance(x, TowerElem):
             raise TypeError("expected a TowerElem, got %r" % (x,))
         return x if x.tower is self else self.lift(x)
+
+    # the coefficient-ring side of series over this tower (CoeffSeries)
+
+    def elem(self, x):
+        """An int, or an element of this tower or of one below it."""
+        return self.integer(x) if isinstance(x, int) else self.lift_from(x)
+
+    def _packed_tables(self):
+        return None  # the packed product is for residue fields only
 
     def zero(self, prec=None):
         return TowerElem(self, TruncSeries.zero(self.residue, prec))
@@ -276,11 +286,9 @@ class LocalFieldTower:
             out = self._subst_memo[key] = _subst(pos, w, target)
         negs = {e: c for e, c in s.terms.items() if e < 0}
         if negs:
-            if w.prec is None and len(w.terms) == 1:
-                w_inv = w.inv()
-            else:
-                avail = target if w.prec is None else w.prec
-                w_inv = w.inv(max(avail - 2 * w.ord(), 1))
+            # w^-1 to O(T^(target + (k-1) m)) keeps w^-k known to the target
+            k = -min(negs)
+            w_inv = self._prev_uniformizer(target + (k + 1) * m).inv()
             for e, c in negs.items():
                 out = out + w_inv.pow_int(-e).scale(c).truncate(target)
         if s.prec is not None:
@@ -425,6 +433,8 @@ class TowerElem:
     def pow(self, n):
         return TowerElem(self.tower, self.series.pow_int(n))
 
+    __pow__ = pow
+
     def frobenius_power(self, n=1):
         """x -> x^(q_v^n), the arithmetic Frobenius over the base."""
         if n < 0:
@@ -442,6 +452,8 @@ class TowerElem:
 
     def is_zero_within_precision(self):
         return not self.series.terms
+
+    is_zero = is_zero_within_precision  # the zero test of the series core
 
     def ord(self):
         return self.series.ord()

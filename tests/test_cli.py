@@ -333,6 +333,36 @@ def test_carlitz_deep_depth_stays_within_memory():
     assert "infinite place: 2/1·log q" in proc.stdout
 
 
+def test_cross_check_survives_python_O():
+    # under python -O a wrong infinite-place value still stops carlitz with
+    # exit 1, and a wrong L-route still raises CrossCheckError
+    script = (
+        "import sys\n"
+        "from ffperiods import carlitz, cmshtuka\n"
+        "from ffperiods.cli import main\n"
+        "from ffperiods.lfunctions import log_q_value\n"
+        "if sys.flags.optimize != 1: sys.exit(5)\n"
+        "carlitz.log_q_value = lambda v: log_q_value(v + 1)\n"
+        "code = main(['carlitz', '--q', '2', '--max-degree', '1'])\n"
+        "mu = cmshtuka.mu_art_v\n"
+        "cmshtuka.mu_art_v = lambda datum, a: mu(datum, a) + 1\n"
+        "psi = cmshtuka.Embedding(0, 0, 0)\n"
+        "cm = cmshtuka.CMAlgebra(3, [cmshtuka.CMComponent(1, 1)])\n"
+        "try:\n"
+        "    cmshtuka.cm_period_valuation(cm, {psi: 1}, psi)\n"
+        "except cmshtuka.CrossCheckError:\n"
+        "    sys.exit(code)\n"
+        "sys.exit(4)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ffperiods.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert "cross-check failure: infinite place gives 3 log q" in proc.stderr
+
+
 PRIME_POWERS_TO_16 = {2, 3, 4, 5, 7, 8, 9, 11, 13, 16}
 
 

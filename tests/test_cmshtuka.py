@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from ffperiods import cmshtuka
 from ffperiods.cmshtuka import (
     CANONICAL,
     CMAlgebra,
     CMComponent,
+    CrossCheckError,
     Embedding,
     MixedComponentError,
     ScalingData,
@@ -440,6 +442,29 @@ def test_averaged_with_per_eta_scalings():
     shifted = averaged_period_valuation(cm, {psi: 1}, psi, scalings)
     # average of the shifts: (2 * 1/2 + 3) / 2 = 2
     assert shifted - base == 2
+
+
+def test_wrong_l_route_raises(monkeypatch):
+    # the closed form and Z_v - mu_Art must agree; a raise, so python -O keeps it
+    mu = cmshtuka.mu_art_v
+    monkeypatch.setattr(cmshtuka, "mu_art_v", lambda datum, a: mu(datum, a) + 1)
+    psi = Embedding(0, 0, 0)
+    with pytest.raises(CrossCheckError, match="L-route"):
+        cm_period_valuation(carlitz_cm(3), {psi: 1}, psi)
+
+
+def test_wrong_averaged_formula_raises(monkeypatch):
+    # hand the averaged formula the conjugation average of the zero type
+    characters = cmshtuka.cm_characters
+
+    def wrong_average(datum, values, psi):
+        return characters(datum, values, psi)[0], characters(datum, {}, psi)[1]
+
+    monkeypatch.setattr(cmshtuka, "cm_characters", wrong_average)
+    cm = single_cm(3, 1, 2)
+    psi = cm.embeddings()[0]
+    with pytest.raises(CrossCheckError, match="averaged"):
+        averaged_period_valuation(cm, {psi: 1}, psi)
 
 
 def test_averaged_on_nonabelian_datum():

@@ -66,13 +66,6 @@ def test_poly_at_series_constant_term(tower):
     assert (out.coeff(1) - tower.one()).is_zero_within_precision()
 
 
-def test_evaluate(tower):
-    pi = tower.uniformizer()
-    poly = CoeffSeries(tower, {0: pi, 2: tower.one()})
-    val = poly.evaluate(pi)
-    assert (val - (pi + pi * pi)).is_zero_within_precision()
-
-
 @pytest.mark.parametrize("n", [4, 8, 16])
 def test_substitute_does_linear_many_products(tower, n, monkeypatch):
     pi = tower.uniformizer()

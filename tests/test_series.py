@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffperiods.coeffseries import CoeffSeries
 from ffperiods.fields import FqElem, FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 
@@ -282,3 +283,88 @@ def test_unpack_sums_matches_lane_reduction(field, data):
             assert key not in out
     # an entry reads off the field's one shared element
     assert field._unpack_sums(sums)["single"] is out["single"]
+
+
+# -- the Newton inverse against the geometric series ---------------------------
+
+
+def geometric_inverse(a, prec):
+    """a^-1 to O(T^prec) by its definition: with a = c0 T^m (1 - u), the sum
+    of u^j times 1 / (c0 T^m).  The error a.inv must raise, or the inverse."""
+    if not a.terms:
+        return ZeroDivisionError if a.prec is None else InsufficientPrecisionError
+    m = a.ord()
+    c0_inv = a.terms[m].inv()
+    if a.prec is None and len(a.terms) == 1:
+        return type(a)(a.field, {-m: c0_inv})
+    if prec is None:
+        if a.prec is None:
+            return ValueError
+        prec = a.prec - 2 * m
+    elif a.prec is not None and prec > a.prec - 2 * m:
+        return InsufficientPrecisionError
+    one = type(a).one(a.field, prec + m)
+    u = one - a.shift(-m).scale(c0_inv).truncate(prec + m)
+    acc = term = one
+    while term.terms:
+        term = (term * u).truncate(prec + m)
+        acc = acc + term
+    return acc.shift(-m).scale(c0_inv)
+
+
+def _kummer_tower_f3():
+    from ffperiods.towers import LocalFieldTower
+
+    base = LocalFieldTower.base(3)
+    return base.extend_eisenstein({0: -base.uniformizer()}, degree=2)
+
+
+TOWER_F3 = _kummer_tower_f3()
+
+
+@st.composite
+def inverse_cases(draw):
+    ring = draw(st.sampled_from([F2, F9, F2_11, TOWER_F3]))
+    low = draw(st.sampled_from([0, 0, -3, 1, 4]))  # the ord, when its term is drawn
+    exps = st.integers(min_value=low, max_value=low + 9)
+    if ring is TOWER_F3:
+        # a tower element with a few exact residue terms (an inexact one would
+        # let the two methods keep different T-adic precisions)
+        def coeff():
+            return ring.element(draw(st.dictionaries(st.integers(min_value=-1, max_value=4),
+                                                     st.integers(min_value=1, max_value=2),
+                                                     max_size=3)))
+    else:
+        def coeff():
+            return elem_of_code(ring, draw(st.integers(min_value=0, max_value=ring.q - 1)))
+    lead = [low] if draw(st.integers(min_value=0, max_value=5)) else []
+    terms = {e: coeff() for e in lead + draw(st.lists(exps, max_size=5, unique=True))}
+    # exact monomials, exact polynomials and inexact series
+    prec = draw(st.one_of(st.none(), st.integers(min_value=-2, max_value=14)))
+    target = draw(st.one_of(st.none(), st.integers(min_value=-4, max_value=16)))
+    cls = CoeffSeries if ring is TOWER_F3 else TruncSeries
+    return cls(ring, terms, prec), target
+
+
+@given(inverse_cases())
+@settings(max_examples=300, deadline=None)
+def test_newton_inverse_matches_geometric_series(case):
+    a, target = case
+    expected = geometric_inverse(a, target)
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            a.inv(target)
+        return
+    got = a.inv(target)
+    assert got.prec == expected.prec
+    assert set(got.terms) == set(expected.terms)
+    if isinstance(a, CoeffSeries):
+        # tower coefficients agree within precision (the inverse of a
+        # non-monomial leading coefficient is inexact, and the two methods may
+        # carry its error to T-adic precisions one apart); at ord 0 the
+        # tower's old convention (O(T^(target - ord))) is this one
+        assert all((got.terms[e] - c).is_zero() for e, c in expected.terms.items())
+        if a.ord() == 0 and target is not None and not got.is_exact():
+            assert got.prec == target
+    else:
+        assert got == expected

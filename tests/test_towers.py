@@ -456,12 +456,11 @@ def test_omega_period_substitutes_nothing_twice(monkeypatch):
 @given(st.sampled_from([2, 3, 4]), st.integers(min_value=2, max_value=4),
        st.dictionaries(st.integers(min_value=-1, max_value=6),
                        st.integers(min_value=1, max_value=3), min_size=1, max_size=4),
-       st.integers(min_value=9, max_value=30), st.integers(min_value=9, max_value=30))
+       st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=30))
 @settings(max_examples=40, deadline=None)
 def test_lift_at_two_precisions_truncates_correctly(q_v, m, terms, p1, p2):
     # a fresh tower per precision is the reference: the memo must not hand
-    # one target's substitution to another (targets above 2m, where the
-    # negative powers of the old uniformizer can be inverted)
+    # one target's substitution to another
     def fresh():
         t = LocalFieldTower.base(q_v)
         z = t.uniformizer()
@@ -473,6 +472,19 @@ def test_lift_at_two_precisions_truncates_correctly(q_v, m, terms, p1, p2):
     for p, y in zip((p1, p2, p1), got):
         base2, top2 = fresh()
         assert y.series == top2.lift(base2.element(terms), p).series
+
+
+@pytest.mark.parametrize("target", [1, 2, 7, 8, 9, 20])
+def test_lift_negative_exponent_to_full_target(target):
+    # X^4 + z^2 X + z over F_2: 1 + z^-1 lifts to O(T^target) at every
+    # target, and z^-1 times the lift of z is 1 to the product's precision
+    base = LocalFieldTower.base(2)
+    z = base.uniformizer()
+    top = base.extend_eisenstein({0: z, 1: z * z}, degree=4)
+    y = top.lift(base.element({0: 1, -1: 1}), target)
+    assert y.series.prec == target and y.ord() == -4
+    check = (y - top.one()) * top.lift(z, target + 8) - top.one()
+    assert not check.series.terms and check.series.prec == target + 4
 
 
 @pytest.mark.parametrize("q_v, law", [(3, "l_0"), (2, "l_1")])
