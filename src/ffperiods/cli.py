@@ -110,7 +110,7 @@ def _is_prime_power(n):
 
 
 def cmd_carlitz(args):
-    if not _is_prime_power(args.q) or args.q > 16:
+    if args.q > 16 or not _is_prime_power(args.q):
         raise InputError("q must be a prime power <= 16, got %d" % args.q)
     if args.max_degree < 1:
         raise InputError("max-degree must be >= 1")

@@ -8,13 +8,17 @@ same (p, k) yields the same field in every run.
 Fields with q <= 2^10 build discrete log/exp tables on first use, and
 multiply, invert and power through them; the series product also reads a
 packed copy of the exp table (see `FqField._packed_tables`).  Larger fields
-build no tables: they multiply by polynomial product and reduction and power
-by square and multiply.  Either way the canonical multiplicative generator,
-and with it every root of unity, is the first element in code order of
-order q - 1.
+build no tables: they multiply, power and invert in `_Ring`, a packed-int
+kernel for F_p[x]/(m) (Kronecker products, extended Euclid, a linear p-th
+power map), which also runs the Rabin test, the table builds and the
+generator search.  Either way the canonical multiplicative generator, and
+with it every root of unity, is the first element in code order of order q - 1.
 """
 
+import math
+import struct
 from functools import lru_cache
+from itertools import compress
 
 
 class FieldMismatchError(ValueError):
@@ -22,146 +26,156 @@ class FieldMismatchError(ValueError):
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n >= 2 and _prime_divisors(n) == [n]
 
 
 def factor_prime_power(q):
     """Return (p, k) with q = p^k, or raise ValueError."""
     if q < 2:
         raise ValueError("%r is not a prime power" % (q,))
-    for p in range(2, q + 1):
-        if not _is_prime(p):
-            continue
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise ValueError("%r is not a prime power" % (q,))
-            return p, k
-    raise ValueError("%r is not a prime power" % (q,))
+    # the smallest factor > 1 is prime; trial division stops at isqrt(q)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k, m = 0, q
+    while m % p == 0:
+        m //= p
+        k += 1
+    if m != 1:
+        raise ValueError("%r is not a prime power" % (q,))
+    return p, k
 
 
-def _poly_mul_mod_p(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+class _Ring:
+    """F_p[x]/(m) for a monic m of degree k, on packed ints.
 
+    sum c_i x^i (0 <= c_i < p) is the int sum c_i 2^(w i) (Kronecker
+    substitution; von zur Gathen and Gerhard, *Modern Computer Algebra*,
+    8.4), with lanes of w bits wide enough that nothing below carries from
+    one lane into the next.  A product is one int product, reduced mod m by
+    the exact polynomial Barrett quotient floor(floor(c / x^k) mu / x^(k-2)),
+    mu = floor(x^(2k-2) / m), then mod p lane by lane: the parity bits for
+    p = 2 (a carry-less product), a multiply-shift quotient otherwise.  The
+    p-th power map is F_p-linear and is kept as its rows x^(p i) mod m.
+    """
 
-def _poly_mod(a, m, p):
-    # reduce a modulo the monic polynomial m, coefficients mod p
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = a[-1]
-        shift = len(a) - 1 - dm
-        for i in range(dm + 1):
-            a[shift + i] = (a[shift + i] - c * m[i]) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
+    def __init__(self, p, m):
+        k = self.k = len(m) - 1
+        self.p = p
+        # largest lane value: for p = 2 a count <= k (parities are taken after
+        # each step), else the reduced sum in `mul` or p^2 in Euclid's steps
+        a = k * (p - 1) ** 2
+        v = (k if p == 2 else max(a + k * k * a * (p - 1) ** 2, p * p)).bit_length()
+        self._shift = v + p.bit_length()
+        self._magic = -(-(1 << self._shift) // p)  # n // p = n * magic >> shift, n < 2^v
+        b = -(-(v if p == 2 else v + self._shift) // 8)
+        b = next((c for c in (1, 2, 4, 8) if c >= b), b)
+        w = self._w = 8 * b
+        # a lane above 8 bytes keeps its coefficient (< p < 2^64) in the low 8
+        self._struct = struct.Struct(
+            "<" + ("%d%s" % (k, "BHIQ"[b.bit_length() - 1]) if b <= 8 else ("Q%dx" % (b - 8)) * k))
+        self._wk, self._wk2 = w * k, w * max(k - 2, 0)
+
+        def repunit(lanes, lane):
+            return lane * ((1 << (w * lanes)) - 1) // ((1 << w) - 1)
+        self._low, self._ones, self._low_ones = repunit(k, (1 << w) - 1), repunit(2 * k, 1), repunit(k, 1)
+        if p != 2:
+            self._qmask = repunit(2 * k, (1 << (w - self._shift)) - 1)
+        self._m = self.pack(m[:k]) + (1 << self._wk)
+        self._mneg = self.pack([-c % p for c in m[:k]])  # x^k mod m
+        rem, mu = [0] * (2 * k - 2) + [1], [0] * k
+        for j in range(2 * k - 2, k - 1, -1):  # x^(2k-2) divided by m
+            mu[j - k] = t = rem[j]
+            for i in range(k + 1):
+                rem[j - k + i] = (rem[j - k + i] - t * m[i]) % p
+        self._mu = self.pack(mu)
+        self.x = 1 << w if k > 1 else 0
+        self._frob, xp, e, base = [1], 1, p, self.x  # x^p by squaring
+        while e:
+            xp, base, e = self.mul(xp, base) if e & 1 else xp, self.mul(base, base), e >> 1
+        for _ in range(k - 1):
+            self._frob.append(self.mul(self._frob[-1], xp))
+
+    def pack(self, coeffs):  # k coefficients 0 <= c < p, constant term first
+        return int.from_bytes(self._struct.pack(*coeffs), "little")
+
+    def unpack(self, n):  # the coefficient tuple of a reduced element
+        return self._struct.unpack(n.to_bytes(self._struct.size, "little"))
+
+    def _lanes_mod(self, n):  # n mod p lane by lane: up to 2k lanes below 2^v
+        if self.p == 2:
+            return n & self._ones
+        return n - (n * self._magic >> self._shift & self._qmask) * self.p
+
+    def mul(self, a, b):
+        c = a * b
+        if self.p == 2:
+            c &= self._ones
+            q = (c >> self._wk) * self._mu >> self._wk2 & self._ones
+            return (c + q * self._mneg) & self._low_ones
+        c = (c & self._low) + (((c >> self._wk) * self._mu >> self._wk2) * self._mneg & self._low)
+        return c - (c * self._magic >> self._shift & self._qmask) * self.p
+
+    def frob(self, a):
+        """a^p: the linear map x^i -> x^(p i) applied to a's lanes."""
+        if self.p == 2:
+            return sum(compress(self._frob, a.to_bytes(self._struct.size, "little"))) & self._ones
+        return self._lanes_mod(sum(map(int.__mul__, self.unpack(a), self._frob)))
+
+    def pow(self, a, e):
+        """a^e, left to right in base p: r <- r^p a^d per digit d, each a^d
+        (d < p) built once it is needed."""
+        digits = []
+        while e:
+            e, d = divmod(e, self.p)
+            digits.append(d)
+        small, r = [1, a], None
+        for d in reversed(digits):
+            if r is not None:
+                r = self.frob(r)
+            if d:
+                while len(small) <= d:
+                    small.append(self.mul(small[-1], a))
+                r = small[d] if r is None else self.mul(r, small[d])
+        return 1 if r is None else r
+
+    def xgcd(self, a):
+        """(g, s): g a gcd of m and a, s a = g mod m (extended Euclid)."""
+        p, w = self.p, self._w
+        r0, r1, s0, s1 = self._m, a, 0, 1
+        while r1:
+            d1 = (r1.bit_length() - 1) // w
+            inv_lead = pow(r1 >> w * d1, -1, p)
+            while r0:  # r0 <- r0 mod r1, and s0 alongside
+                d0 = (r0.bit_length() - 1) // w
+                if d0 < d1:
+                    break
+                c, shift = p - (r0 >> w * d0) * inv_lead % p, w * (d0 - d1)
+                r0 = self._lanes_mod(r0 + (c * r1 << shift))
+                s0 = self._lanes_mod(s0 + (c * s1 << shift))
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        return r0, s0
 
 
 def _lex_irreducible(p, k):
     """Lexicographically smallest monic irreducible of degree k over F_p.
 
     Candidates x^k + c_{k-1}x^{k-1} + ... + c_0 are ordered by the tuple
-    (c_{k-1},...,c_0); irreducibility is tested by checking that the candidate
-    has no root in any proper subfield style factor, via gcd-free power test.
+    (c_{k-1},...,c_0), that is by the code sum c_i p^i.  Each goes through
+    Rabin's test (von zur Gathen and Gerhard, 14.9) in its own `_Ring`:
+    x^(p^k) = x, and gcd(x^(p^(k/l)) - x, cand) = 1 for every prime l | k.
     """
     if k == 1:
         return [0, 1]  # x itself
     for code in range(p ** k):
-        coeffs = []
-        c = code
+        cand = [code // p ** i % p for i in range(k)] + [1]
+        ring = _Ring(p, cand)
+        powers = [ring.x]  # x^(p^j) mod cand
         for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        # coeffs[0] is c_0; candidate is monic of degree k
-        cand = coeffs + [1]
-        if _is_irreducible_modp(cand, p):
+            powers.append(ring.frob(powers[-1]))
+        if powers[-1] == ring.x and not any(
+                ring.xgcd(ring._lanes_mod(powers[k // l] + (p - 1) * ring.x))[0] >> ring._w
+                for l in _prime_divisors(k)):
             return cand
     raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
-
-
-def _powmod_x(e, m, p):
-    # x^e mod m over F_p, by square and multiply
-    r = [1]
-    b = [0, 1]
-    b = _poly_mod(b, m, p)
-    while e:
-        if e & 1:
-            r = _poly_mod(_poly_mul_mod_p(r, b, p), m, p)
-        b = _poly_mod(_poly_mul_mod_p(b, b, p), m, p)
-        e >>= 1
-    return r
-
-
-def _poly_gcd_modp(a, b, p):
-    a, b = list(a), list(b)
-    while any(b):
-        a, b = b, _poly_rem(a, b, p)
-    return a
-
-
-def _poly_rem(a, b, p):
-    a = list(a)
-    while len(b) > 1 and b[-1] == 0:
-        b = b[:-1]
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - db
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - c * b[i]) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return a
-
-
-def _is_irreducible_modp(f, p):
-    """Rabin test for a monic polynomial over F_p."""
-    k = len(f) - 1
-    if k < 1 or f[-1] != 1:
-        return False
-    # x^(p^k) == x mod f
-    xq = list(_powmod_x(p ** k, f, p))
-    xq += [0] * (2 - len(xq))
-    xq[1] = (xq[1] - 1) % p
-    if any(xq):
-        return False
-    # for each prime divisor l of k: gcd(x^(p^(k/l)) - x, f) must be constant
-    for l in _prime_divisors(k):
-        g = list(_powmod_x(p ** (k // l), f, p))
-        g += [0] * (2 - len(g))
-        g[1] = (g[1] - 1) % p
-        d = _poly_gcd_modp(f, g, p)
-        while len(d) > 1 and d[-1] == 0:
-            d.pop()
-        if len(d) > 1:
-            return False
-    return True
 
 
 def _prime_divisors(n):
@@ -211,17 +225,13 @@ class FqField:
             raise ValueError("characteristic %r is not prime" % (p,))
         if k < 1:
             raise ValueError("extension degree must be positive")
-        self.p = p
-        self.k = k
-        self.q = p ** k
+        self.p, self.k, self.q = p, k, p ** k
         self.modulus = tuple(_lex_irreducible(p, k))
+        self._ring = _Ring(p, self.modulus)
         self.zero = FqElem(self, (0,) * k)
         self.one = FqElem(self, tuple(1 if i == 0 else 0 for i in range(k)))
         self.gen = FqElem(self, tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
-        self._exp = None
-        self._log = None
-        self._exp_packed = self._elem_of_packed = None
-        self._mul_gen = None
+        self._exp = self._log = self._exp_packed = self._elem_of_packed = self._mul_gen = None
         self._ready = True
 
     def __repr__(self):
@@ -234,13 +244,17 @@ class FqField:
                 raise FieldMismatchError("element of %r used in %r" % (coeffs.field, self))
             return coeffs
         if isinstance(coeffs, int):
-            c = [coeffs % self.p] + [0] * (self.k - 1)
-            return FqElem(self, tuple(c))
+            return FqElem(self, (coeffs % self.p,) + (0,) * (self.k - 1))
         c = [x % self.p for x in coeffs]
-        if len(c) > self.k:
-            c = _poly_mod(c, list(self.modulus), self.p)
-        c = c + [0] * (self.k - len(c))
-        return FqElem(self, tuple(c[: self.k]))
+        if len(c) > self.k:  # Horner mod the modulus
+            n = 0
+            for x in reversed(c):
+                n = self._ring._lanes_mod(self._ring.mul(n, self._ring.x) + x)
+            return self._of_packed(n)
+        return FqElem(self, tuple(c + [0] * (self.k - len(c))))
+
+    def _of_packed(self, n):
+        return FqElem(self, self._ring.unpack(n), n)
 
     def elements(self):
         """All field elements in lexicographic (integer-code) order."""
@@ -253,18 +267,14 @@ class FqField:
             yield FqElem(self, tuple(c))
 
     def _build_tables(self):
-        g = self.multiplicative_generator()
-        order = self.q - 1
-        exp = [None] * (2 * order)
-        log = {}
-        acc = self.one
+        ring, order = self._ring, self.q - 1
+        g = ring.pack(self.multiplicative_generator().c)
+        exp, log, acc = [None] * (2 * order), {}, 1
         for i in range(order):
-            exp[i] = acc.c
-            exp[i + order] = acc.c
-            log[acc.c] = i
-            acc = acc._mul_raw(g)
-        self._exp = exp
-        self._log = log
+            exp[i] = exp[i + order] = c = ring.unpack(acc)
+            log[c] = i
+            acc = ring.mul(acc, g)
+        self._exp, self._log = exp, log
 
     def _packed_tables(self):
         """(log, packed exp) for the series product, or None above the table
@@ -300,14 +310,14 @@ class FqField:
 
     def multiplicative_generator(self):
         """The canonical generator of F_q^*: the first element in code order
-        with g^((q-1)/l) != 1 for every prime l | q - 1.  Found by raw
-        powering, so it is the same element with or without log tables."""
+        with g^((q-1)/l) != 1 for every prime l | q - 1.  Found by powering in
+        the ring kernel, so it is the same element with or without log tables."""
         if self._mul_gen is None:
-            order = self.q - 1
-            prim_divs = _prime_divisors(order)
+            ring, order = self._ring, self.q - 1
+            exps = [order // l for l in _prime_divisors(order)]
             self._mul_gen = next(
                 cand for cand in self.elements()
-                if cand and all(cand._pow_raw(order // l).c != self.one.c for l in prim_divs)
+                if cand and all(ring.pow(ring.pack(cand.c), e) != 1 for e in exps)
             )
         return self._mul_gen
 
@@ -362,13 +372,17 @@ def _embedding(src, dst):
 
 
 class FqElem:
-    """An element of an FqField; immutable, hashable."""
+    """An element of an FqField; immutable, hashable.  `c` is the canonical
+    coefficient tuple; `n` is its packed int in the field's `_Ring` when the
+    element came out of the kernel, else None (packed again on use)."""
 
-    __slots__ = ("field", "c")
+    __slots__ = ("field", "c", "n")
 
-    def __init__(self, field, c):
-        self.field = field
-        self.c = c
+    def __init__(self, field, c, n=None):
+        self.field, self.c, self.n = field, c, n
+
+    def _packed(self):
+        return self.field._ring.pack(self.c) if self.n is None else self.n
 
     def is_zero(self):
         return not any(self.c)
@@ -417,21 +431,13 @@ class FqElem:
         n %= p
         return FqElem(self.field, tuple((a * n) % p for a in self.c))
 
-    def _mul_raw(self, other):
-        f = self.field
-        prod = _poly_mul_mod_p(list(self.c), list(other.c), f.p)
-        red = _poly_mod(prod, list(f.modulus), f.p)
-        red = red + [0] * (f.k - len(red))
-        return FqElem(f, tuple(red[: f.k]))
-
     def __mul__(self, other):
         self._check(other)
         f = self.field
         if f._log is None:
-            if f.q <= _LOG_TABLE_LIMIT:
-                f._build_tables()
-            else:
-                return self._mul_raw(other)
+            if f.q > _LOG_TABLE_LIMIT:
+                return f._of_packed(f._ring.mul(self._packed(), other._packed()))
+            f._build_tables()
         if not any(self.c) or not any(other.c):
             return f.zero
         return FqElem(f, f._exp[f._log[self.c] + f._log[other.c]])
@@ -444,7 +450,8 @@ class FqElem:
             f._build_tables()
         if f._log is not None:
             return FqElem(f, f._exp[(f.q - 1) - f._log[self.c] % (f.q - 1)])
-        return self ** (f.q - 2)
+        g, s = f._ring.xgcd(self._packed())  # g: a nonzero constant
+        return f._of_packed(f._ring._lanes_mod(s * pow(g, -1, f.p)))
 
     def __truediv__(self, other):
         self._check(other)
@@ -462,21 +469,13 @@ class FqElem:
             f._build_tables()
         if f._log is not None:
             return FqElem(f, f._exp[(f._log[self.c] * n) % (f.q - 1)])
-        return self._pow_raw(n)
-
-    def _pow_raw(self, n):
-        r = self.field.one
-        b = self
-        while n:
-            if n & 1:
-                r = r._mul_raw(b)
-            b = b._mul_raw(b)
-            n >>= 1
-        return r
+        return f._of_packed(f._ring.pow(self._packed(), n % (f.q - 1)))
 
     def frobenius(self, n=1):
-        """Apply the absolute Frobenius n times: x -> x^(p^n)."""
-        return self ** (self.field.p ** n)
+        """Apply the absolute Frobenius n times: x -> x^(p^n).  Since
+        x^(p^k) = x, n counts mod k; without tables the power is n
+        applications of the ring's linear p-th power map."""
+        return self ** (self.field.p ** (n % self.field.k))
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,22 @@ def test_omega_negative_embedding_index(capsys, tmp_path, embedding):
     assert code == 2
 
 
+@pytest.mark.parametrize("q", ["1000003", "999999999989"])  # primes
+def test_carlitz_large_prime_q_exits_2(capsys, q):
+    code, out, err = run(capsys, "carlitz", "--q", q)
+    assert code == 2
+    assert "prime power <= 16" in err
+
+
+def test_omega_twelve_digit_prime_q_v_is_a_resource_limit(capsys, tmp_path):
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 999999999989,
+                              "components": [{"f": 1, "e": 1, "tame": True}]})
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,0)")
+    assert code == 2
+    assert err.startswith("resource limit:")
+
+
 def test_omega_string_q_v_exit_code(capsys, tmp_path):
     path = cm_file(tmp_path, {"schema": "1", "q_v": "4",
                               "components": [{"f": 1, "e": 3, "tame": True}]})

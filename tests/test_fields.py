@@ -2,12 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffperiods.fields import (
     _LOG_TABLE_LIMIT,
     FqField,
     FieldMismatchError,
     PolyFq,
+    _lex_irreducible,
     count_irreducibles,
     factor_prime_power,
     monic_irreducibles,
@@ -144,23 +146,142 @@ def test_roots_of_unity_in_table_free_field():
 
 
 def test_table_free_path_agrees_with_forced_tables():
-    F = FqField(11, 3)  # q = 1331, just above the limit
+    # q = 1331 is just above the limit; 2^11 and 3^7 take the p = 2 and
+    # the odd-p products of the kernel
+    for p, k in [(11, 3), (2, 11), (3, 7)]:
+        F = FqField(p, k)
+        assert F.q > _LOG_TABLE_LIMIT
+        g = F.multiplicative_generator()
+        sample = list(itertools.islice(F.elements(), 1, 50)) + [g, F.gen]
+
+        def results():
+            return [(a.inv(), a ** 5, a ** -3, a ** (F.q + 1), a * g, a.frobenius(2))
+                    for a in sample]
+
+        table_free = results()
+        assert F._log is None
+        try:
+            F._build_tables()
+            # the tables are powers of g, g generates F_q^*, and no nonzero
+            # element before g in code order does
+            assert F._exp[1] == g.c and len(F._log) == F.q - 1
+            earlier = itertools.islice(F.elements(), 1, g.code())
+            assert all(math.gcd(F._log[a.c], F.q - 1) > 1 for a in earlier)
+            assert results() == table_free
+        finally:
+            F._exp = F._log = None
+
+
+def test_factor_prime_power_twelve_digits():
+    assert factor_prime_power(999999999989) == (999999999989, 1)  # prime
+    assert factor_prime_power(999983 ** 2) == (999983, 2)
+    with pytest.raises(ValueError):
+        factor_prime_power(999983 * 1000003)  # 999985999949, two primes
+
+
+# Every embedding and root of unity depends on these: (p, k, modulus, code of
+# the canonical multiplicative generator).
+CANONICAL_FIELDS = [
+    (2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1), 3),
+    (2, 9, (1, 1, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 11, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 12, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (2, 13, (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 14, (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1), 7),
+    (2, 15, (1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 16, (1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 3),
+    (2, 17, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 2),
+    (2, 18, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1), 10),
+    (3, 7, (2, 0, 1, 0, 0, 0, 0, 1), 5),
+    (3, 8, (2, 0, 1, 0, 0, 0, 0, 0, 1), 38),
+    (3, 9, (1, 0, 1, 2, 0, 0, 0, 0, 0, 1), 3),
+    (5, 5, (1, 4, 0, 0, 0, 1), 10),
+    (7, 4, (1, 1, 0, 0, 1), 12),
+    (11, 3, (4, 1, 0, 1), 11),
+    (13, 3, (2, 0, 0, 1), 15),
+]
+
+
+@pytest.mark.parametrize("p,k,modulus,gen_code", CANONICAL_FIELDS)
+def test_canonical_modulus_and_generator(p, k, modulus, gen_code):
+    F = FqField(p, k)
+    assert F.modulus == modulus
+    assert F.multiplicative_generator().code() == gen_code
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p, top in ((2, 8), (3, 5), (5, 4), (7, 3))
+                                 for k in range(1, top + 1)])
+def test_lex_irreducible_matches_sympy(p, k):
+    from sympy import Poly, symbols
+
+    x = symbols("x")
+    for code in itertools.count():
+        cand = [code // p ** i % p for i in range(k)] + [1]
+        if Poly(cand[::-1], x, modulus=p).is_irreducible:
+            break
+    assert _lex_irreducible(p, k) == cand
+
+
+def _ref_mul(a, b, m, p):
+    """Schoolbook product of coefficient tuples mod the monic m over F_p."""
+    k = len(m) - 1
+    out = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for j in range(2 * k - 2, k - 1, -1):
+        t = out[j] % p
+        for i in range(k + 1):
+            out[j - k + i] -= t * m[i]
+    return tuple(x % p for x in out[:k])
+
+
+def _ref_pow(a, e, m, p):
+    r = (1,) + (0,) * (len(m) - 2)
+    while e:
+        if e & 1:
+            r = _ref_mul(r, a, m, p)
+        a = _ref_mul(a, a, m, p)
+        e >>= 1
+    return r
+
+
+# table-free fields: p = 2 and odd p, and (101, 2), whose lanes are wider
+# than 8 bytes
+KERNEL_FIELDS = [(2, 11), (2, 18), (3, 7), (5, 5), (13, 3), (101, 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernel_against_schoolbook(data):
+    p, k = data.draw(st.sampled_from(KERNEL_FIELDS))
+    F, coeffs = FqField(p, k), st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
     assert F.q > _LOG_TABLE_LIMIT
-    g = F.multiplicative_generator()
-    sample = list(itertools.islice(F.elements(), 1, 50)) + [g, F.gen]
+    m = F.modulus
+    a, b = F.elem(data.draw(coeffs)), F.elem(data.draw(coeffs))
+    ab = a * b
+    assert ab.c == _ref_mul(a.c, b.c, m, p)
+    assert (ab * ab).c == _ref_mul(ab.c, ab.c, m, p)  # kernel results as inputs
+    assert (a ** p).c == _ref_pow(a.c, p, m, p)
+    e = data.draw(st.integers(0, 3 * F.q))
+    assert (a ** e).c == _ref_pow(a.c, e, m, p)
+    n = data.draw(st.integers(0, 3 * k))
+    assert a.frobenius(n).c == _ref_pow(a.c, p ** n, m, p)
+    if a:
+        assert a.inv().c == _ref_pow(a.c, F.q - 2, m, p)
+        assert a * a.inv() == F.one
 
-    def results():
-        return [(a.inv(), a ** 5, a ** -3, a ** (F.q + 1), a * g) for a in sample]
 
-    table_free = results()
-    assert F._log is None
-    try:
-        F._build_tables()
-        # the tables are powers of g, g generates F_q^*, and no nonzero
-        # element before g in code order does
-        assert F._exp[1] == g.c and len(F._log) == F.q - 1
-        earlier = itertools.islice(F.elements(), 1, g.code())
-        assert all(math.gcd(F._log[a.c], F.q - 1) > 1 for a in earlier)
-        assert results() == table_free
-    finally:
-        F._exp = F._log = None
+def test_frobenius_counts_mod_k():
+    for F in (FqField(3, 2), FqField(2, 11)):
+        a = F.gen + F.one
+        assert a.frobenius(F.k * 10 ** 6) == a
+        assert a.frobenius(10 ** 6 + 1) == a.frobenius((10 ** 6 + 1) % F.k)
+
+
+def test_elem_reduces_long_coefficient_lists():
+    for F in (FqField(3, 2), FqField(2, 11), FqField(13, 3)):
+        x = F.gen
+        long = [F.p - 1, 2, 0, 1] + [0] * (2 * F.k) + [1]
+        assert F.elem(long) == sum((x ** i * F.elem(c) for i, c in enumerate(long)), F.zero)
