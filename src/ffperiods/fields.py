@@ -373,16 +373,16 @@ def _embedding(src, dst):
 
 class FqElem:
     """An element of an FqField; immutable, hashable.  `c` is the canonical
-    coefficient tuple; `n` is its packed int in the field's `_Ring` when the
+    coefficient tuple; `_n` is its packed int in the field's `_Ring` when the
     element came out of the kernel, else None (packed again on use)."""
 
-    __slots__ = ("field", "c", "n")
+    __slots__ = ("field", "c", "_n")
 
     def __init__(self, field, c, n=None):
-        self.field, self.c, self.n = field, c, n
+        self.field, self.c, self._n = field, c, n
 
     def _packed(self):
-        return self.field._ring.pack(self.c) if self.n is None else self.n
+        return self.field._ring.pack(self.c) if self._n is None else self._n
 
     def is_zero(self):
         return not any(self.c)
