@@ -60,8 +60,9 @@ class _Ring:
     def __init__(self, p, m):
         k = self.k = len(m) - 1
         self.p = p
-        # largest lane value: for p = 2 a count <= k (parities are taken after
-        # each step), else the reduced sum in `mul` or p^2 in Euclid's steps
+        # largest lane value: for p = 2 a count <= k (parities taken after each
+        # step: one byte below k = 256, where the odd-p bound takes four and ran
+        # 2^18 arithmetic 2-3x slower), else `mul`'s reduced sum or p^2 (Euclid)
         a = k * (p - 1) ** 2
         v = (k if p == 2 else max(a + k * k * a * (p - 1) ** 2, p * p)).bit_length()
         self._shift = v + p.bit_length()
@@ -111,13 +112,13 @@ class _Ring:
             c &= self._ones
             q = (c >> self._wk) * self._mu >> self._wk2 & self._ones
             return (c + q * self._mneg) & self._low_ones
-        c = (c & self._low) + (((c >> self._wk) * self._mu >> self._wk2) * self._mneg & self._low)
-        return c - (c * self._magic >> self._shift & self._qmask) * self.p
+        return self._lanes_mod(
+            (c & self._low) + (((c >> self._wk) * self._mu >> self._wk2) * self._mneg & self._low))
 
     def frob(self, a):
         """a^p: the linear map x^i -> x^(p i) applied to a's lanes."""
         if self.p == 2:
-            return sum(compress(self._frob, a.to_bytes(self._struct.size, "little"))) & self._ones
+            return sum(compress(self._frob, self.unpack(a))) & self._ones
         return self._lanes_mod(sum(map(int.__mul__, self.unpack(a), self._frob)))
 
     def pow(self, a, e):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from ffperiods.fields import (
     FqField,
     FieldMismatchError,
     PolyFq,
+    _Ring,
     _lex_irreducible,
     count_irreducibles,
     factor_prime_power,
@@ -271,6 +273,20 @@ def test_kernel_against_schoolbook(data):
     if a:
         assert a.inv().c == _ref_pow(a.c, F.q - 2, m, p)
         assert a * a.inv() == F.one
+
+
+def test_kernel_wide_lanes():
+    """Degree >= 256 widens the lanes past one byte for p = 2 (a coefficient
+    count reaches k); m need not be irreducible for the ring identities."""
+    rng = random.Random(7)
+    for p, k in ((2, 256), (2, 300), (3, 256)):
+        m = [rng.randrange(p) for _ in range(k)] + [1]
+        ring = _Ring(p, m)
+        for _ in range(3):
+            a, b = ([rng.randrange(p) for _ in range(k)] for _ in range(2))
+            pa, pb = ring.pack(a), ring.pack(b)
+            assert ring.unpack(ring.mul(pa, pb)) == _ref_mul(a, b, m, p)
+            assert ring.unpack(ring.frob(pa)) == _ref_pow(a, p, m, p)
 
 
 def test_frobenius_counts_mod_k():
