@@ -62,6 +62,25 @@ class InputError(ValueError):
     pass
 
 
+def _read_input(path, what):
+    """The JSON object in the file at `path`, which must have schema "1"."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InputError(str(exc))
+    if not isinstance(data, dict) or data.get("schema") != "1":
+        raise InputError("%s needs a JSON object with schema '1'" % what)
+    return data
+
+
+def _int(x, what):
+    try:
+        return int(x)
+    except (TypeError, ValueError):
+        raise InputError("%s must be an integer, got %r" % (what, x))
+
+
 def _frac(s):
     if isinstance(s, int):
         return Fraction(s)
@@ -170,10 +189,7 @@ def _load_component(c):
 
 
 def _load_cm(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != "1":
-        raise InputError("cm file needs schema '1'")
+    data = _read_input(path, "cm file")
     if "q_v" not in data or not _is_prime_power(data["q_v"]):
         raise InputError("cm file needs a prime-power q_v")
     try:
@@ -184,9 +200,12 @@ def _load_cm(path):
         raise InputError("bad cm component: %s" % exc)
     if not comps:
         raise InputError("cm file lists no components")
+    raw_type = data.get("cm_type", {})
+    if not isinstance(raw_type, dict):
+        raise InputError("cm_type must map embeddings '(i,j,k)' to integers")
     cm_type = {}
-    for key, d in data.get("cm_type", {}).items():
-        cm_type[_parse_embedding(key, cm)] = int(d)
+    for key, d in raw_type.items():
+        cm_type[_parse_embedding(key, cm)] = _int(d, "cm_type %s" % key)
     return cm, cm_type
 
 
@@ -228,17 +247,14 @@ def cmd_omega(args):
 
 
 def _load_galois(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("schema") != "1":
-        raise InputError("galois file needs schema '1'")
+    data = _read_input(path, "galois file")
     if "q_v" not in data or not _is_prime_power(data["q_v"]):
         raise InputError("galois file needs a prime-power q_v")
     mode = data.get("mode")
     if mode == "tame":
         try:
             return LocalGaloisDatum.tame(data["q_v"], int(data["f"]), int(data["e"])), data
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("bad tame datum: %s" % exc)
     if mode == "table":
         try:
@@ -250,7 +266,7 @@ def _load_galois(path):
                 ),
                 data,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("bad table datum: %s" % exc)
     raise InputError("galois mode must be 'tame' or 'table'")
 
@@ -262,10 +278,9 @@ def _ratfunc_str(f):
 def cmd_zv(args):
     datum, raw = _load_galois(args.galois)
     if args.char_file is not None:
-        with open(args.char_file) as fh:
-            spec = json.load(fh)
-        if spec.get("schema") != "1" or "values" not in spec:
-            raise InputError("class-function files need schema '1' and a values map")
+        spec = _read_input(args.char_file, "class-function file")
+        if not isinstance(spec.get("values"), dict):
+            raise InputError("class-function files need a values map")
         values = {}
         for g in datum.elements:
             key = g if isinstance(g, str) else "(%d,%d)" % (g.a, g.k)
@@ -318,14 +333,11 @@ def _parse_tame_pair(raw, f, e):
 
 
 def cmd_regularize(args):
-    with open(args.config) as fh:
-        data = json.load(fh)
-    if data.get("schema") != "1":
-        raise InputError("config needs schema '1'")
+    data = _read_input(args.config, "config")
     q = data.get("q")
     if not _is_prime_power(q):
         raise InputError("config needs a prime-power q")
-    genus = int(data.get("genus", 0))
+    genus = _int(data.get("genus", 0), "genus")
     character = data.get("character", "trivial")
     if character == "trivial":
         l_infty, _ = zeta_closed_forms(q)
@@ -340,18 +352,21 @@ def cmd_regularize(args):
                               QPoly([_frac(c) for c in lf["den"]]))
         except ZeroDivisionError:
             raise InputError("l_infty has a zero denominator")
+        except (KeyError, TypeError):
+            raise InputError("l_infty needs num and den coefficient lists")
         a_identity = _frac(data.get("a_identity", 1))
         mu_infty = LogQValue(_frac(data.get("mu_infty", 0)))
     explicit = []
+    needs = ("x",) if character == "trivial" else ("x", "z_v_at_1")
     for row in data.get("explicit", []):
         try:
             deg = int(row["degree"])
         except (KeyError, TypeError, ValueError):
             raise InputError("explicit rows need an integer degree, got %r" % (row,))
-        if character == "trivial":
-            zv1 = Fraction(1, q ** deg - 1)
-        else:
-            zv1 = _frac(row["z_v_at_1"])
+        if deg < 1 or any(key not in row for key in needs):
+            raise InputError("explicit rows need a degree >= 1 and %s, got %r"
+                             % (" and ".join(needs), row))
+        zv1 = Fraction(1, q ** deg - 1) if character == "trivial" else _frac(row["z_v_at_1"])
         explicit.append(
             ExplicitPlaceTerm(str(row.get("label", "?")), deg,
                               LogQValue(_frac(row["x"])), zv1)
@@ -420,9 +435,6 @@ def main(argv=None):
     try:
         return args.fn(args)
     except InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INVALID
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except (CrossCheckError,) as exc:

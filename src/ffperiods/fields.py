@@ -1,24 +1,27 @@
 """Exact arithmetic in finite fields F_{p^k} and univariate polynomials over them.
 
-Elements of F_{p^k} are stored as coefficient tuples of length k (reduced mod
-the field's defining polynomial).  The defining polynomial is always the
-lexicographically smallest monic irreducible of degree k over F_p, so the
-same (p, k) yields the same field in every run.
-
-Fields with q <= 2^10 build discrete log/exp tables on first use, and
-multiply, invert and power through them; the series product also reads a
-packed copy of the exp table (see `FqField._packed_tables`).  Larger fields
-build no tables: they multiply, power and invert in `_Ring`, a packed-int
+Every element of F_{p^k} is one int: its coefficients mod the field's
+defining polynomial, packed lane by lane in the field's `_Ring`, a packed-int
 kernel for F_p[x]/(m) (Kronecker products, extended Euclid, a linear p-th
-power map), which also runs the Rabin test, the table builds and the
-generator search.  Either way the canonical multiplicative generator, and
-with it every root of unity, is the first element in code order of order q - 1.
+power map).  The defining polynomial is always the lexicographically smallest
+monic irreducible of degree k over F_p, so the same (p, k) yields the same
+field in every run.  Addition is lane-wise: XOR when p = 2, an int sum reduced
+mod p otherwise.
+
+Fields with q <= 2^10 build, when they are made, a log map from element ints
+to discrete logs, one doubled exp table of ints and their elements by log;
+they multiply, invert and power through these, and the series product sums
+the exp entries directly (their lanes are at least 64 bits wide).  Larger
+fields build no tables: they multiply, power and invert in the kernel, which
+also runs the Rabin test, the table builds and the generator search.  Either
+way the canonical multiplicative generator, and with it every root of unity,
+is the first element in code order of order q - 1.
 """
 
 import math
 import struct
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, product
 
 
 class FieldMismatchError(ValueError):
@@ -55,9 +58,10 @@ class _Ring:
     mu = floor(x^(2k-2) / m), then mod p lane by lane: the parity bits for
     p = 2 (a carry-less product), a multiply-shift quotient otherwise.  The
     p-th power map is F_p-linear and is kept as its rows x^(p i) mod m.
+    `min_bytes` widens the lanes (a table field takes 8, see `FqField`).
     """
 
-    def __init__(self, p, m):
+    def __init__(self, p, m, min_bytes=1):
         k = self.k = len(m) - 1
         self.p = p
         # largest lane value: for p = 2 a count <= k (parities taken after each
@@ -67,7 +71,7 @@ class _Ring:
         v = (k if p == 2 else max(a + k * k * a * (p - 1) ** 2, p * p)).bit_length()
         self._shift = v + p.bit_length()
         self._magic = -(-(1 << self._shift) // p)  # n // p = n * magic >> shift, n < 2^v
-        b = -(-(v if p == 2 else v + self._shift) // 8)
+        b = max(-(-(v if p == 2 else v + self._shift) // 8), min_bytes)
         b = next((c for c in (1, 2, 4, 8) if c >= b), b)
         w = self._w = 8 * b
         # a lane above 8 bytes keeps its coefficient (< p < 2^64) in the low 8
@@ -80,6 +84,7 @@ class _Ring:
         self._low, self._ones, self._low_ones = repunit(k, (1 << w) - 1), repunit(2 * k, 1), repunit(k, 1)
         if p != 2:
             self._qmask = repunit(2 * k, (1 << (w - self._shift)) - 1)
+            self._p_low_ones = p * self._low_ones  # a + this - b borrows nowhere
         self._m = self.pack(m[:k]) + (1 << self._wk)
         self._mneg = self.pack([-c % p for c in m[:k]])  # x^k mod m
         rem, mu = [0] * (2 * k - 2) + [1], [0] * k
@@ -163,10 +168,14 @@ def _lex_irreducible(p, k):
     (c_{k-1},...,c_0), that is by the code sum c_i p^i.  Each goes through
     Rabin's test (von zur Gathen and Gerhard, 14.9) in its own `_Ring`:
     x^(p^k) = x, and gcd(x^(p^(k/l)) - x, cand) = 1 for every prime l | k.
+    Candidates with a root 0 (c_0 = 0), or for p = 2 a root 1 (an even
+    number of terms), are skipped before a ring is built.
     """
     if k == 1:
         return [0, 1]  # x itself
     for code in range(p ** k):
+        if code % p == 0 or p == 2 and bin(code).count("1") % 2:
+            continue
         cand = [code // p ** i % p for i in range(k)] + [1]
         ring = _Ring(p, cand)
         powers = [ring.x]  # x^(p^j) mod cand
@@ -199,12 +208,6 @@ def _prime_divisors(n):
 # without), so the limit sits at the crossover.
 _LOG_TABLE_LIMIT = 1 << 10
 
-# Bits per coefficient ("lane") of a packed exp-table entry.  A series
-# product adds at most min(#a, #b) entries into one output term, and each
-# lane of an entry is below p <= 2^10, so a lane stays below 2^64 unless a
-# series has more than 2^54 terms.
-_LANE_BITS = 64
-
 
 class FqField:
     """The finite field F_q with q = p^k, with a canonical defining polynomial."""
@@ -228,11 +231,17 @@ class FqField:
             raise ValueError("extension degree must be positive")
         self.p, self.k, self.q = p, k, p ** k
         self.modulus = tuple(_lex_irreducible(p, k))
-        self._ring = _Ring(p, self.modulus)
-        self.zero = FqElem(self, (0,) * k)
-        self.one = FqElem(self, tuple(1 if i == 0 else 0 for i in range(k)))
-        self.gen = FqElem(self, tuple(1 if i == 1 else 0 for i in range(k))) if k > 1 else self.one
-        self._exp = self._log = self._exp_packed = self._elem_of_packed = self._mul_gen = None
+        # A table field packs with lanes of at least 64 bits, so an element's
+        # int is its own entry of the series product's exp table: a series
+        # sum adds at most min(#a, #b) entries, each lane below p <= 2^10, so
+        # a lane stays below 2^64 unless a series has more than 2^54 terms.
+        tables = self.q <= _LOG_TABLE_LIMIT
+        self._ring = _Ring(p, self.modulus, 8 if tables else 1)
+        self.zero, self.one = FqElem(self, 0), FqElem(self, 1)
+        self.gen = FqElem(self, self._ring.x) if k > 1 else self.one
+        self._log = self._exp = self._elems = self._mul_gen = None
+        if tables:
+            self._build_tables()
         self._ready = True
 
     def __repr__(self):
@@ -245,68 +254,52 @@ class FqField:
                 raise FieldMismatchError("element of %r used in %r" % (coeffs.field, self))
             return coeffs
         if isinstance(coeffs, int):
-            return FqElem(self, (coeffs % self.p,) + (0,) * (self.k - 1))
-        c = [x % self.p for x in coeffs]
+            return FqElem(self, coeffs % self.p)  # lane 0 is the low end of the int
+        ring, c = self._ring, [x % self.p for x in coeffs]
         if len(c) > self.k:  # Horner mod the modulus
             n = 0
             for x in reversed(c):
-                n = self._ring._lanes_mod(self._ring.mul(n, self._ring.x) + x)
-            return self._of_packed(n)
-        return FqElem(self, tuple(c + [0] * (self.k - len(c))))
-
-    def _of_packed(self, n):
-        return FqElem(self, self._ring.unpack(n), n)
+                n = ring._lanes_mod(ring.mul(n, ring.x) + x)
+            return FqElem(self, n)
+        return FqElem(self, ring.pack(c + [0] * (self.k - len(c))))
 
     def elements(self):
         """All field elements in lexicographic (integer-code) order."""
-        for code in range(self.q):
-            c = []
-            v = code
-            for _ in range(self.k):
-                c.append(v % self.p)
-                v //= self.p
-            yield FqElem(self, tuple(c))
+        pack = self._ring.pack
+        for c in product(range(self.p), repeat=self.k):  # c_0 varies fastest
+            yield FqElem(self, pack(c[::-1]))
 
     def _build_tables(self):
+        """The discrete log of every nonzero element's int, the doubled exp
+        table of ints, and the elements by log (doubled too), interned."""
         ring, order = self._ring, self.q - 1
-        g = ring.pack(self.multiplicative_generator().c)
-        exp, log, acc = [None] * (2 * order), {}, 1
-        for i in range(order):
-            exp[i] = exp[i + order] = c = ring.unpack(acc)
-            log[c] = i
-            acc = ring.mul(acc, g)
-        self._exp, self._log = exp, log
+        g, exp = self.multiplicative_generator().n, [1]
+        for _ in range(order - 1):
+            exp.append(ring.mul(exp[-1], g))
+        elems = [FqElem(self, n) for n in exp]
+        self._log = {n: i for i, n in enumerate(exp)}
+        self._exp, self._elems = exp + exp, elems + elems
 
     def _packed_tables(self):
-        """(log, packed exp) for the series product, or None above the table
-        limit.  A packed entry holds the coefficient tuple of the exp entry in
-        one int, coefficient i in bits [64 i, 64 i + 64); both halves of the
-        doubled table share it, and it keys its element for `_unpack_sums`."""
-        if self.q > _LOG_TABLE_LIMIT:
-            return None
-        if self._exp_packed is None:
-            if self._log is None:
-                self._build_tables()
-            packed = [sum(c << (_LANE_BITS * i) for i, c in enumerate(coeffs))
-                      for coeffs in self._exp[:self.q - 1]]
-            self._exp_packed, self._elem_of_packed = packed + packed, {
-                v: FqElem(self, coeffs) for v, coeffs in zip(packed, self._exp)}
-        return self._log, self._exp_packed
+        """(log, exp) for the series product, or None for a table-free field.
+        An exp entry is an element's int: coefficient i in lane i of at least
+        64 bits, so entries sum lane by lane."""
+        return None if self._log is None else (self._log, self._exp)
 
     def _unpack_sums(self, sums):
-        """{key: sum of packed entries} -> {key: FqElem}, zero sums dropped.
+        """{key: sum of exp entries} -> {key: FqElem}, zero sums dropped.
         A sum with every lane below p is an entry and maps straight to its
-        element; only the others are reduced mod p lane by lane."""
-        elem_of = self._elem_of_packed.get
-        p, mask = self.p, (1 << _LANE_BITS) - 1
-        shifts = range(0, _LANE_BITS * self.k, _LANE_BITS)
+        element; only the others are reduced mod p lane by lane (for p = 2
+        by the lane parities, which hold for any lane value)."""
+        ring, log, elems, p = self._ring, self._log, self._elems, self.p
         out = {}
         for key, v in sums.items():
-            x = elem_of(v)
-            if x is None:
-                x = elem_of(sum((v >> s & mask) % p << s for s in shifts))
-            if x is not None:
-                out[key] = x
+            i = log.get(v)
+            if i is None:
+                i = log.get(ring._lanes_mod(v) if p == 2
+                            else ring.pack([x % p for x in ring.unpack(v)]))
+            if i is not None:
+                out[key] = elems[i]
         return out
 
     def multiplicative_generator(self):
@@ -318,7 +311,7 @@ class FqField:
             exps = [order // l for l in _prime_divisors(order)]
             self._mul_gen = next(
                 cand for cand in self.elements()
-                if cand and all(ring.pow(ring.pack(cand.c), e) != 1 for e in exps)
+                if cand and all(ring.pow(cand.n, e) != 1 for e in exps)
             )
         return self._mul_gen
 
@@ -346,7 +339,7 @@ def _embedding(src, dst):
         raise FieldMismatchError("no embedding of %r into %r" % (src, dst))
     if src.k == 1:
         def embed_prime(x, dst=dst):
-            return dst.elem(x.c[0])
+            return dst.elem(x.n)
         return embed_prime
     # smallest root of src.modulus in dst, in element-code order
     root = None
@@ -373,33 +366,34 @@ def _embedding(src, dst):
 
 
 class FqElem:
-    """An element of an FqField; immutable, hashable.  `c` is the canonical
-    coefficient tuple; `_n` is its packed int in the field's `_Ring` when the
-    element came out of the kernel, else None (packed again on use)."""
+    """An element of an FqField; immutable, hashable.  `n` is its packed int
+    in the field's `_Ring` (coefficient i in lane i), the only value stored;
+    `c` unpacks it to the coefficient tuple."""
 
-    __slots__ = ("field", "c", "_n")
+    __slots__ = ("field", "n")
 
-    def __init__(self, field, c, n=None):
-        self.field, self.c, self._n = field, c, n
+    def __init__(self, field, n):
+        self.field, self.n = field, n
 
-    def _packed(self):
-        return self.field._ring.pack(self.c) if self._n is None else self._n
+    @property
+    def c(self):
+        return self.field._ring.unpack(self.n)
 
     def is_zero(self):
-        return not any(self.c)
+        return not self.n
 
     def __bool__(self):
-        return any(self.c)
+        return self.n != 0
 
     def __eq__(self, other):
-        return isinstance(other, FqElem) and self.field is other.field and self.c == other.c
+        return isinstance(other, FqElem) and self.field is other.field and self.n == other.n
 
     def __hash__(self):
-        return hash((id(self.field), self.c))
+        return hash((id(self.field), self.n))
 
     def __repr__(self):
         if self.field.k == 1:
-            return str(self.c[0])
+            return str(self.n)
         return "Fq(%s)" % ",".join(str(x) for x in self.c)
 
     def code(self):
@@ -413,46 +407,45 @@ class FqElem:
         if not isinstance(other, FqElem) or other.field is not self.field:
             raise FieldMismatchError("operands from different fields")
 
+    # add and subtract lane by lane: XOR when p = 2, else an int sum (plus p
+    # in every lane before a difference, so nothing borrows) reduced mod p
+
     def __add__(self, other):
         self._check(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a + b) % p for a, b in zip(self.c, other.c)))
+        f = self.field
+        return FqElem(f, self.n ^ other.n if f.p == 2 else f._ring._lanes_mod(self.n + other.n))
 
     def __sub__(self, other):
         self._check(other)
-        p = self.field.p
-        return FqElem(self.field, tuple((a - b) % p for a, b in zip(self.c, other.c)))
+        f, r = self.field, self.field._ring
+        return FqElem(f, self.n ^ other.n if f.p == 2
+                      else r._lanes_mod(self.n + r._p_low_ones - other.n))
 
     def __neg__(self):
-        p = self.field.p
-        return FqElem(self.field, tuple((-a) % p for a in self.c))
+        f, r = self.field, self.field._ring
+        return self if f.p == 2 else FqElem(f, r._lanes_mod(r._p_low_ones - self.n))
 
     def scale_int(self, n):
-        p = self.field.p
-        n %= p
-        return FqElem(self.field, tuple((a * n) % p for a in self.c))
+        f = self.field
+        return FqElem(f, f._ring._lanes_mod(self.n * (n % f.p)))
 
     def __mul__(self, other):
         self._check(other)
         f = self.field
         if f._log is None:
-            if f.q > _LOG_TABLE_LIMIT:
-                return f._of_packed(f._ring.mul(self._packed(), other._packed()))
-            f._build_tables()
-        if not any(self.c) or not any(other.c):
+            return FqElem(f, f._ring.mul(self.n, other.n))
+        if not self.n or not other.n:
             return f.zero
-        return FqElem(f, f._exp[f._log[self.c] + f._log[other.c]])
+        return f._elems[f._log[self.n] + f._log[other.n]]
 
     def inv(self):
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero in %r" % (self.field,))
         f = self.field
-        if f._log is None and f.q <= _LOG_TABLE_LIMIT:
-            f._build_tables()
+        if not self.n:
+            raise ZeroDivisionError("inversion of zero in %r" % (f,))
         if f._log is not None:
-            return FqElem(f, f._exp[(f.q - 1) - f._log[self.c] % (f.q - 1)])
-        g, s = f._ring.xgcd(self._packed())  # g: a nonzero constant
-        return f._of_packed(f._ring._lanes_mod(s * pow(g, -1, f.p)))
+            return f._elems[f.q - 1 - f._log[self.n]]
+        g, s = f._ring.xgcd(self.n)  # g: a nonzero constant
+        return FqElem(f, f._ring._lanes_mod(s * pow(g, -1, f.p)))
 
     def __truediv__(self, other):
         self._check(other)
@@ -464,13 +457,11 @@ class FqElem:
             return self.inv() ** (-n)
         if n == 0:
             return f.one
-        if self.is_zero():
+        if not self.n:
             return f.zero
-        if f._log is None and f.q <= _LOG_TABLE_LIMIT:
-            f._build_tables()
         if f._log is not None:
-            return FqElem(f, f._exp[(f._log[self.c] * n) % (f.q - 1)])
-        return f._of_packed(f._ring.pow(self._packed(), n % (f.q - 1)))
+            return f._elems[f._log[self.n] * n % (f.q - 1)]
+        return FqElem(f, f._ring.pow(self.n, n % (f.q - 1)))
 
     def frobenius(self, n=1):
         """Apply the absolute Frobenius n times: x -> x^(p^n).  Since

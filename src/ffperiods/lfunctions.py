@@ -283,9 +283,6 @@ class ClassFunctionQ:
                     return False
         return True
 
-    def at_identity(self):
-        return self.values[self.datum.identity]
-
 
 # ---------------------------------------------------------------------------
 # the operators

@@ -17,10 +17,10 @@ zero in that sense is not stored.
 Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
 coefficient is replaced by its discrete log once, the second operand is
 sorted by exponent so the pair loop stops at the output precision, and each
-pair adds one entry of the field's packed exp table (a coefficient tuple in
-one int, 64 bits per coefficient) to the sum of its exponent.  A sum whose
-lanes all stay below p is itself an entry and reads off its element; the
-others are reduced mod p once, when the output term is built.  Composition
+pair adds one entry of the field's exp table (an element's packed int, whose
+lanes are at least 64 bits wide there) to the sum of its exponent.  A sum
+whose lanes all stay below p is itself an entry and reads off its element;
+the others are reduced mod p once, when the output term is built.  Composition
 adds every scaled power into one such dict.  Other rings use their elements.
 Inversion is Newton iteration, doubling the known precision at every step.
 """
@@ -351,27 +351,27 @@ def _sum_scaled(field, scaled, prec=None):
         return {e: x for e, x in sums.items() if not x.is_zero()}
     log, exp = tables
     for c, k, s in scaled:
-        lc = log[c.c]
+        lc = log[c.n]
         for e, d in s.terms.items():
             e += k
             if prec is None or e < prec:
-                sums[e] = get(e, 0) + exp[lc + log[d.c]]
+                sums[e] = get(e, 0) + exp[lc + log[d.n]]
     return field._unpack_sums(sums)
 
 
 def _mul_packed(a, b, prec, log, exp):
-    """Terms of a * b below prec, from the field's log and packed exp tables.
+    """Terms of a * b below prec, from the field's log map and exp table.
 
     Each coefficient becomes its discrete log once; every pair of terms then
     costs one table read and one int addition into the packed sum of its
     exponent, and the field unpacks each sum (one mod p per lane) at the end.
     """
-    lb = sorted((e, log[c.c]) for e, c in b.terms.items())
+    lb = sorted((e, log[c.n]) for e, c in b.terms.items())
     end = lb[-1][0] + 1 if lb else 0
     sums = {}
     get = sums.get
     for e1, c1 in a.terms.items():
-        l1 = log[c1.c]
+        l1 = log[c1.n]
         stop = end if prec is None else prec - e1
         for e2, l2 in lb:
             if e2 >= stop:

@@ -462,19 +462,11 @@ class TowerElem:
         """Absolute valuation with v(z) = 1, as an exact Fraction."""
         return Fraction(self.series.ord(), self.tower.e_abs)
 
-    def valuation_lower_bound(self):
-        lb = self.series.ord_lower_bound()
-        return None if lb is None else Fraction(lb, self.tower.e_abs)
-
     def leading_coeff(self):
         return self.series.leading_coeff()
 
     def truncate(self, prec):
         return TowerElem(self.tower, self.series.truncate(prec))
-
-    def sort_key(self):
-        """Deterministic ordering key: by order, then coefficient codes."""
-        return tuple((e, c.code()) for e, c in sorted(self.series.terms.items()))
 
     def __repr__(self):
         return "TowerElem(%s; %r)" % (self.tower.name, self.series)
@@ -743,12 +735,6 @@ class TameAut:
         o = _mul_order(self.q_v, self.e)
         qinv = pow(self.q_v, (-self.a) % o, self.e)
         return TameAut(-self.a, -self.k * qinv, self.f, self.e, self.q_v)
-
-    def conjugate_by(self, h):
-        return h.inverse() * self * h
-
-    def is_identity(self):
-        return self.a == 0 and self.k == 0
 
     def __eq__(self, other):
         return isinstance(other, TameAut) and (

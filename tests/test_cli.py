@@ -397,3 +397,37 @@ def test_carlitz_input_contract(q, max_degree, depth):
         assert json.loads(out.getvalue())["total"] == "0/1"
     else:
         assert err.getvalue().startswith("error: ")
+
+
+TAME_GALOIS = {"schema": "1", "q_v": 3, "mode": "tame", "f": 1, "e": 2}
+TAME_CM = {"schema": "1", "q_v": 3, "components": [{"f": 1, "e": 2, "tame": True}]}
+USER_REG = {"schema": "1", "q": 2, "genus": 0, "character": "user",
+            "l_infty": {"num": ["1"], "den": ["1"]}}
+
+
+# (command, {file option: JSON payload}): every file goes through the one
+# reader, which wants a JSON object with schema "1"
+@pytest.mark.parametrize("command,files", [
+    ("omega", {"--cm": []}),
+    ("zv", {"--galois": []}),
+    ("zv", {"--galois": TAME_GALOIS, "--char-file": []}),
+    ("zv", {"--galois": TAME_GALOIS, "--char-file": {"schema": "1", "values": []}}),
+    ("regularize", {"--config": []}),
+    ("omega", {"--cm": dict(TAME_CM, cm_type=[])}),
+    ("omega", {"--cm": dict(TAME_CM, cm_type={"(0,0,0)": "a"})}),
+    ("regularize", {"--config": {"schema": "1", "q": 2, "genus": "a"}}),
+    ("regularize", {"--config": dict(USER_REG, explicit=[{"degree": 1, "x": "1"}])}),
+    ("regularize", {"--config": {"schema": "1", "q": 2, "explicit": [{"degree": 0, "x": "1"}]}}),
+    ("regularize", {"--config": dict(USER_REG, l_infty=[])}),
+])
+def test_malformed_input_files_exit_2(capsys, tmp_path, command, files):
+    argv = [command]
+    for i, (option, payload) in enumerate(files.items()):
+        path = tmp_path / ("input%d.json" % i)
+        path.write_text(json.dumps(payload))
+        argv += [option, str(path)]
+    if command == "omega":
+        argv += ["--phi", "(0,0,0)", "--psi", "(0,0,0)"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2, err
+    assert err.startswith("error: ") and "Traceback" not in err

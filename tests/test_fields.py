@@ -166,12 +166,12 @@ def test_table_free_path_agrees_with_forced_tables():
             F._build_tables()
             # the tables are powers of g, g generates F_q^*, and no nonzero
             # element before g in code order does
-            assert F._exp[1] == g.c and len(F._log) == F.q - 1
+            assert F._exp[1] == g.n and len(F._log) == F.q - 1
             earlier = itertools.islice(F.elements(), 1, g.code())
-            assert all(math.gcd(F._log[a.c], F.q - 1) > 1 for a in earlier)
+            assert all(math.gcd(F._log[a.n], F.q - 1) > 1 for a in earlier)
             assert results() == table_free
         finally:
-            F._exp = F._log = None
+            F._log = F._exp = F._elems = None
 
 
 def test_factor_prime_power_twelve_digits():
@@ -250,18 +250,25 @@ def _ref_pow(a, e, m, p):
 
 
 # table-free fields: p = 2 and odd p, and (101, 2), whose lanes are wider
-# than 8 bytes
-KERNEL_FIELDS = [(2, 11), (2, 18), (3, 7), (5, 5), (13, 3), (101, 2)]
+# than 8 bytes; table fields, whose lanes are at least 8 bytes, up to
+# (1021, 1), whose lanes are 12 bytes
+KERNEL_FIELDS = [(2, 11), (2, 18), (3, 7), (5, 5), (13, 3), (101, 2),
+                 (2, 4), (3, 2), (3, 5), (2, 10), (31, 2), (1021, 1)]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.data())
 def test_kernel_against_schoolbook(data):
     p, k = data.draw(st.sampled_from(KERNEL_FIELDS))
     F, coeffs = FqField(p, k), st.lists(st.integers(0, p - 1), min_size=k, max_size=k)
-    assert F.q > _LOG_TABLE_LIMIT
     m = F.modulus
     a, b = F.elem(data.draw(coeffs)), F.elem(data.draw(coeffs))
+    s = data.draw(st.integers(-3 * p, 3 * p))
+    assert (a + b).c == tuple((x + y) % p for x, y in zip(a.c, b.c))
+    assert (a - b).c == tuple((x - y) % p for x, y in zip(a.c, b.c))
+    assert (-a).c == tuple(-x % p for x in a.c)
+    assert a.scale_int(s).c == tuple(x * s % p for x in a.c)
+    assert (a - b) + b == a and -(-a) == a
     ab = a * b
     assert ab.c == _ref_mul(a.c, b.c, m, p)
     assert (ab * ab).c == _ref_mul(ab.c, ab.c, m, p)  # kernel results as inputs
