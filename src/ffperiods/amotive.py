@@ -15,6 +15,7 @@ For the Carlitz motive at a degree-1 place the output is exactly z - zeta.
 """
 
 from .coeffseries import CoeffSeries, poly_at_series
+from .fields import PolyFq
 from .towers import LocalFieldTower, TowerError, newton_root
 
 
@@ -83,13 +84,10 @@ def _theta_root(tower, q, place_poly):
 
 def _smallest_residue_root(res, place_poly):
     emb = place_poly.field.embedding(res)
-    for cand in res.elements():
-        acc = res.zero
-        for c in reversed(place_poly.coeffs):
-            acc = acc * cand + emb(c)
-        if acc.is_zero():
-            return cand
-    raise ResidueMismatchError("the place polynomial has no root in the residue field")
+    root = PolyFq(res, [emb(c) for c in place_poly.coeffs]).first_root()
+    if root is None:
+        raise ResidueMismatchError("the place polynomial has no root in the residue field")
+    return root
 
 
 def hensel_t_of_z(model, place_poly, depth):

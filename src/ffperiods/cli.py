@@ -407,7 +407,9 @@ def build_parser():
     p.set_defaults(fn=cmd_carlitz)
 
     p = sub.add_parser("omega", help="period valuations of one embedding pair")
-    p.add_argument("--cm", required=True, help="path to a cm.json description")
+    p.add_argument("--cm", required=True,
+                   help="path to a cm.json description; its cm_type is validated "
+                        "but not used, since omega reports one embedding pair")
     p.add_argument("--phi", required=True, help="embedding '(i,j,k)'")
     p.add_argument("--psi", required=True, help="embedding '(i,j,k)'")
     p.add_argument("--depth", type=int, default=None)

@@ -1,4 +1,5 @@
-"""Exact arithmetic in finite fields F_{p^k} and univariate polynomials over them.
+"""Exact arithmetic in finite fields F_{p^k}, and dense univariate polynomials
+over F_q or over Q (`PolyFq`; `ratfunc.QPoly` is the Q case).
 
 Every element of F_{p^k} is one int: its coefficients mod the field's
 defining polynomial, packed lane by lane in the field's `_Ring`, a packed-int
@@ -16,6 +17,11 @@ fields build no tables: they multiply, power and invert in the kernel, which
 also runs the Rabin test, the table builds and the generator search.  Either
 way the canonical multiplicative generator, and with it every root of unity,
 is the first element in code order of order q - 1.
+
+`PolyFq` is the one dense polynomial class: it asks its coefficient field
+only for `elem`, `zero` and `one`, so the same code runs over an FqField and
+over the rationals.  Its root scan `first_root` finds the canonical
+embeddings' images and the A-motive residue roots.
 """
 
 import math
@@ -341,15 +347,7 @@ def _embedding(src, dst):
         def embed_prime(x, dst=dst):
             return dst.elem(x.n)
         return embed_prime
-    # smallest root of src.modulus in dst, in element-code order
-    root = None
-    for cand in dst.elements():
-        acc = dst.zero
-        for coeff in reversed(src.modulus):
-            acc = acc * cand + dst.elem(coeff)
-        if acc.is_zero():
-            root = cand
-            break
+    root = PolyFq(dst, src.modulus).first_root()  # the smallest, in code order
     assert root is not None, "modulus must split in the larger field"
     powers = [dst.one]
     for _ in range(src.k - 1):
@@ -475,31 +473,38 @@ class FqElem:
 
 
 class PolyFq:
-    """Univariate polynomial over an FqField, dense coefficient list, no
-    trailing zeros (the zero polynomial keeps a single zero coefficient)."""
+    """Univariate polynomial over a field, dense coefficient tuple (constant
+    term first), no trailing zeros (the zero polynomial keeps a single zero).
+    The field is an FqField or `ratfunc.QQ`: the class asks it only for
+    `elem`, `zero` and `one`, and tests coefficients by truthiness."""
 
     __slots__ = ("field", "coeffs")
+    var = "t"  # the variable's name in repr
 
     def __init__(self, field, coeffs):
-        cs = [field.elem(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1].is_zero():
+        self._trim(field, [field.elem(c) for c in coeffs])
+
+    def _trim(self, field, cs):
+        while len(cs) > 1 and not cs[-1]:
             cs.pop()
-        if not cs:
-            cs = [field.zero]
-        self.field = field
-        self.coeffs = tuple(cs)
+        self.field, self.coeffs = field, tuple(cs) or (field.zero,)
+        return self
+
+    @classmethod
+    def _of(cls, field, cs):
+        """A polynomial of this class from a list of elements of `field`,
+        trimmed but not coerced again."""
+        return object.__new__(cls)._trim(field, cs)
 
     @property
     def degree(self):
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
-            return -1
-        return len(self.coeffs) - 1
+        return len(self.coeffs) - 1 if self.coeffs[-1] else -1
 
     def is_zero(self):
-        return self.degree < 0
+        return not self.coeffs[-1]
 
     def is_monic(self):
-        return self.degree >= 0 and self.coeffs[-1] == self.field.one
+        return self.coeffs[-1] == self.field.one
 
     def __eq__(self, other):
         return (
@@ -509,32 +514,28 @@ class PolyFq:
         )
 
     def __hash__(self):
-        return hash((id(self.field), self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         terms = []
         for i, c in enumerate(self.coeffs):
-            if c.is_zero():
+            if not c:
                 continue
             if i == 0:
-                terms.append(repr(c))
+                terms.append(str(c))
             else:
-                cs = "" if c == self.field.one else repr(c) + "*"
-                terms.append("%st^%d" % (cs, i) if i > 1 else "%st" % cs)
+                cs = "" if c == self.field.one else str(c) + "*"
+                terms.append("%s%s^%d" % (cs, self.var, i) if i > 1 else cs + self.var)
         return " + ".join(reversed(terms)) if terms else "0"
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        f = self.field
-        cs = [
-            (self.coeffs[i] if i < len(self.coeffs) else f.zero)
-            + (other.coeffs[i] if i < len(other.coeffs) else f.zero)
-            for i in range(n)
-        ]
-        return PolyFq(f, cs)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return self._of(self.field, [x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     def __neg__(self):
-        return PolyFq(self.field, [-c for c in self.coeffs])
+        return self._of(self.field, [-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -542,35 +543,34 @@ class PolyFq:
     def __mul__(self, other):
         f = self.field
         if self.is_zero() or other.is_zero():
-            return PolyFq(f, [f.zero])
+            return self._of(f, [])
         out = [f.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PolyFq(f, out)
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] = out[i + j] + a * b
+        return self._of(f, out)
+
+    def scale(self, c):
+        c = self.field.elem(c)
+        return self._of(self.field, [a * c for a in self.coeffs])
 
     def divmod(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        f = self.field
+        f, d, b = self.field, other.degree, other.coeffs
+        inv_lead = f.one / b[-1]
         rem = list(self.coeffs)
-        q = [f.zero] * max(1, len(rem) - other.degree)
-        inv_lead = other.coeffs[-1].inv()
-        while len(rem) - 1 >= other.degree and any(not c.is_zero() for c in rem):
-            if rem[-1].is_zero():
-                rem.pop()
-                continue
-            c = rem[-1] * inv_lead
-            shift = len(rem) - 1 - other.degree
+        q = [f.zero] * max(1, len(rem) - d)
+        while len(rem) > d and rem[-1]:  # rem trimmed, nonzero, degree >= d
+            c = rem.pop() * inv_lead  # the top term cancels exactly
+            shift = len(rem) - d
             q[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - c * oc
-            while len(rem) > 1 and rem[-1].is_zero():
+            rem[shift:] = [r - c * y for r, y in zip(rem[shift:], b)]
+            while rem and not rem[-1]:
                 rem.pop()
-        return PolyFq(f, q), PolyFq(f, rem)
+        return self._of(f, q), self._of(f, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -587,25 +587,25 @@ class PolyFq:
         return r
 
     def gcd(self, other):
+        """The monic gcd (zero if both are zero)."""
         a, b = self, other
         while not b.is_zero():
             a, b = b, a % b
-        if a.is_zero():
-            return a
-        lead = a.coeffs[-1]
-        return PolyFq(a.field, [c / lead for c in a.coeffs])
+        return a if a.is_zero() else a.scale(a.field.one / a.coeffs[-1])
 
     def derivative(self):
         f = self.field
-        if self.degree < 1:
-            return PolyFq(f, [f.zero])
-        return PolyFq(f, [self.coeffs[i].scale_int(i) for i in range(1, len(self.coeffs))])
+        return self._of(f, [c * f.elem(i) for i, c in enumerate(self.coeffs) if i])
 
     def evaluate(self, x):
-        acc = self.field.zero
+        x, acc = self.field.elem(x), self.field.zero
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
+
+    def first_root(self):
+        """The first root in `field.elements()` order, or None."""
+        return next((x for x in self.field.elements() if not self.evaluate(x)), None)
 
     def is_irreducible(self):
         """Rabin irreducibility test over F_q."""
@@ -635,7 +635,7 @@ def monic_irreducibles(field, degree):
     def rec(prefix):
         # prefix holds c_{d-1}, c_{d-2}, ... chosen so far
         if len(prefix) == degree:
-            cand = PolyFq(field, list(reversed(prefix)) + [field.one])
+            cand = PolyFq._of(field, prefix[::-1] + [field.one])
             if cand.is_irreducible():
                 out.append(cand)
             return

@@ -3,131 +3,34 @@
 Used for the local zeta operators Z_v(a, s) viewed as rational functions of
 x = q_v^(-s) and for the global zeta functions in u = q^(-s).  Coefficients
 are exact Fractions; normalization makes numerator and denominator coprime
-with a monic denominator.
+with a monic denominator.  The polynomials are `fields.PolyFq` over `QQ`.
 """
 
 from fractions import Fraction
+from types import SimpleNamespace
+
+from .fields import PolyFq
+
+# the rationals as a coefficient field of PolyFq
+QQ = SimpleNamespace(elem=Fraction, zero=Fraction(0), one=Fraction(1))
 
 
-class QPoly:
-    """Polynomial over Q as a dense coefficient tuple (low degree first)."""
+class QPoly(PolyFq):
+    """Polynomial over Q in x, dense coefficient tuple (low degree first)."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    var = "x"
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        self.coeffs = tuple(cs)
+        super().__init__(QQ, coeffs)
 
     @classmethod
     def const(cls, c):
-        return cls([Fraction(c)])
+        return cls([c])
 
     @classmethod
     def x(cls):
         return cls([0, 1])
-
-    @property
-    def degree(self):
-        if self.coeffs == (Fraction(0),):
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return self.degree < 0
-
-    def __eq__(self, other):
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return QPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
-
-    def __neg__(self):
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if self.is_zero() or other.is_zero():
-            return QPoly([0])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPoly(out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return QPoly([a * c for a in self.coeffs])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(1, len(rem) - other.degree)
-        while len(rem) - 1 >= other.degree and any(rem):
-            if rem[-1] == 0:
-                rem.pop()
-                continue
-            c = rem[-1] / other.coeffs[-1]
-            shift = len(rem) - 1 - other.degree
-            q[shift] = c
-            for i, oc in enumerate(other.coeffs):
-                rem[shift + i] -= c * oc
-            while len(rem) > 1 and rem[-1] == 0:
-                rem.pop()
-        return QPoly(q), QPoly(rem)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.scale(1 / a.coeffs[-1])
-
-    def derivative(self):
-        if self.degree < 1:
-            return QPoly([0])
-        return QPoly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
-    def evaluate(self, x0):
-        x0 = Fraction(x0)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x0 + c
-        return acc
-
-    def __repr__(self):
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0 and self.degree >= 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append("x" if c == 1 else "%s*x" % c)
-            else:
-                terms.append("x^%d" % i if c == 1 else "%s*x^%d" % (c, i))
-        return " + ".join(reversed(terms)) if terms else "0"
 
 
 class PoleOrZeroError(ArithmeticError):

@@ -157,6 +157,34 @@ def test_zv_table_mode(capsys, tmp_path):
     assert "mu_Art,v(a) = 0/1" in out
 
 
+# Z_v lines of the README's tame datum and of q_v = 3, f = 3, e = 2; the
+# rational-function strings are the polynomial reprs in x
+@pytest.mark.parametrize("datum,char,lines", [
+    ((2, 2, 3), [], ["Z_v(a, s) in x = q_v^(-s): (-1*x) / (x + -1)"]),
+    ((2, 2, 3), ["--char", "pair", "--phi", "(1,0)", "--psi", "(0,0)"],
+     ["Z_v(a, s) in x = q_v^(-s): (-1/3*x) / (x^2 + -1)"]),
+    ((3, 3, 2), ["--char", "pair", "--phi", "(2,1)", "--psi", "(0,0)"],
+     ["Z_v(a, s) in x = q_v^(-s): (-1/2*x) / (x^3 + -1)", "Z_v(a, 1) = 9/52"]),
+])
+def test_zv_rational_function_lines(capsys, tmp_path, datum, char, lines):
+    q_v, f, e = datum
+    path = galois_file(tmp_path, {"schema": "1", "q_v": q_v, "mode": "tame", "f": f, "e": e})
+    code, out, err = run(capsys, "zv", "--galois", path, *char)
+    assert code == 0
+    for line in lines:
+        assert line in out.splitlines()
+
+
+def test_omega_output_ignores_cm_type(capsys, tmp_path):
+    # cm_type is validated but omega reports one embedding pair without it
+    outs = []
+    for cm_type in ({"(0,0,0)": 1}, {"(0,0,0)": 5, "(0,0,1)": -7}):
+        path = cm_file(tmp_path, dict(TAME_CM, cm_type=cm_type))
+        outs.append(run(capsys, "omega", "--cm", path, "--phi", "(0,0,0)", "--psi", "(0,0,1)"))
+    assert outs[0][0] == 0
+    assert outs[0] == outs[1]
+
+
 def test_regularize_carlitz(capsys, tmp_path):
     path = tmp_path / "reg.json"
     path.write_text(json.dumps({

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from ffperiods.fields import (
     factor_prime_power,
     monic_irreducibles,
 )
+from ffperiods.ratfunc import QQ
 
 
 def test_factor_prime_power():
@@ -124,13 +126,43 @@ def test_necklace_counts(q):
         assert ours == count_irreducibles(q, d)
 
 
-def test_poly_divmod_and_gcd():
-    F3 = FqField(3, 1)
-    f = PolyFq(F3, [1, 0, 1])  # x^2 + 1
-    g = PolyFq(F3, [1, 1])  # x + 1
-    q, r = f.divmod(g)
-    assert q * g + r == f
-    assert f.gcd(f) == PolyFq(F3, [1, 0, 1])
+def _random_elem(field, rng):
+    if field is QQ:
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    return field.elem([rng.randrange(field.p) for _ in range(field.k)])
+
+
+def _random_poly(field, rng, degree):
+    return PolyFq(field, [_random_elem(field, rng) for _ in range(degree + 1)])
+
+
+# the one dense polynomial class over F_3, F_4, a table-free F_{2^11} and Q
+@pytest.mark.parametrize("field", [FqField(3, 1), FqField(2, 2), FqField(2, 11), QQ],
+                         ids=["F3", "F4", "F2^11", "Q"])
+def test_poly_divmod_and_gcd(field):
+    rng = random.Random(7)
+    zero = PolyFq(field, [0])
+    for _ in range(20):
+        a = _random_poly(field, rng, rng.randint(0, 6))
+        b = _random_poly(field, rng, rng.randint(0, 4))
+        if b.is_zero():
+            continue
+        q, r = a.divmod(b)
+        assert q * b + r == a and r.degree < b.degree
+        common = _random_poly(field, rng, 2)
+        if common.is_zero():
+            continue
+        g = (a * common).gcd(b * common)
+        assert g.is_monic()
+        assert (a * common) % g == zero and (b * common) % g == zero and g % common == zero
+        c, x = _random_elem(field, rng), _random_elem(field, rng)
+        assert a.scale(c) == PolyFq(field, [y * c for y in a.coeffs])
+        assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+        times = [sum([y] * i, field.zero) for i, y in enumerate(a.coeffs)]  # i y
+        assert a.derivative() == PolyFq(field, times[1:] or [0])
+        assert a.evaluate(x) == sum((y * x ** i for i, y in enumerate(a.coeffs)), field.zero)
+    const = PolyFq(field, [_random_elem(field, rng) or field.one])
+    assert zero.divmod(const) == (zero, zero)
 
 
 def test_poly_derivative_char3():

@@ -56,3 +56,13 @@ def test_arith_and_evaluate():
 def test_evaluate_exact():
     f = RatFunc(QPoly([1, 1]), QPoly([2]))  # (1+x)/2
     assert f.evaluate(Fraction(1, 3)) == Fraction(2, 3)
+
+
+def test_qpoly_repr_and_class():
+    assert repr(QPoly([Fraction(-1, 2), 0, 3, -1])) == "-1*x^3 + 3*x^2 + -1/2"
+    assert repr(QPoly([0])) == "0"
+    assert repr(QPoly([1, 1])) == "x + 1"
+    # arithmetic on QPoly stays in QPoly, so reprs keep the variable x
+    f = QPoly([1, 1])
+    for g in (f + f, f - f, f * f, f.scale(2), f.derivative(), f.divmod(f)[0], f % f, f.gcd(f)):
+        assert type(g) is QPoly
