@@ -9,11 +9,12 @@ Subcommands:
   regularize  the four-term regularized value of a tail-convention sum
 
 Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input
-or a resource limit (an omega tower above the degree cap; the message starts
-'resource limit:').  All rational output is exact ('num/den', with an
-explicit log q marker where applicable); nothing is ever evaluated in
-floating point.  The environment variable FFP_TOWER_BOUND (an integer >= 1)
-overrides omega's tower degree cap; carlitz has no cap.
+or a resource limit (an omega tower above the degree cap, or a period still
+short of precision at two units; the message starts 'resource limit:').
+All rational output is exact ('num/den', with an explicit log q marker where
+applicable); nothing is ever evaluated in floating point.  The environment
+variable FFP_TOWER_BOUND (an integer >= 1) overrides omega's tower degree
+cap; carlitz has no cap.
 """
 
 import argparse
@@ -24,6 +25,7 @@ from fractions import Fraction
 
 from .carlitz import CrossCheckError, carlitz_product_formula, report_as_dict
 from .cmshtuka import (
+    AmbiguousLeadingTermError,
     CMAlgebra,
     CMComponent,
     Embedding,
@@ -51,6 +53,7 @@ from .lfunctions import (
     zeta_closed_forms,
 )
 from .ratfunc import PoleOrZeroError, QPoly, RatFunc
+from .series import InsufficientPrecisionError
 from .towers import DEFAULT_TOWER_BOUND, TowerBoundError, TowerError
 
 EXIT_OK = 0
@@ -444,6 +447,9 @@ def main(argv=None):
         return EXIT_MISMATCH
     except TowerBoundError as exc:
         print("resource limit: %s (FFP_TOWER_BOUND sets the cap)" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except (InsufficientPrecisionError, AmbiguousLeadingTermError) as exc:
+        print("resource limit: %s (working precision exhausted)" % exc, file=sys.stderr)
         return EXIT_INVALID
     except (TowerError, PoleOrZeroError, WildComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -23,9 +23,10 @@ Fractions with denominator dividing the absolute ramification index.
 """
 
 from fractions import Fraction
+from math import ceil
 
 from .fields import FqField, factor_prime_power
-from .series import InsufficientPrecisionError, TruncSeries
+from .series import TruncSeries
 
 
 class TowerError(Exception):
@@ -58,7 +59,8 @@ DEFAULT_TOWER_BOUND = 64
 class LocalFieldTower:
     """One level of a tower; `previous` links to the tower below."""
 
-    def __init__(self, q_v, residue, e_abs, f_abs, previous, step, bound, prec, name):
+    def __init__(self, q_v, residue, e_abs, f_abs, previous, step, bound, prec, name,
+                 units=1):
         self.q_v = q_v
         self.residue = residue
         self.p = residue.p
@@ -71,15 +73,16 @@ class LocalFieldTower:
         self.bound = bound
         self.prec = prec
         self.name = name
+        self.units = units  # absolute units of precision an Eisenstein step sizes for
         self._prev_unif_cache = {}  # prec -> TruncSeries
         self._subst_memo = {}  # (series, w, prec) -> _subst(series, w, prec)
 
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def base(cls, q_v, bound=DEFAULT_TOWER_BOUND, prec=32, name="z"):
+    def base(cls, q_v, bound=DEFAULT_TOWER_BOUND, prec=32, name="z", units=1):
         p, k = factor_prime_power(q_v)
-        return cls(q_v, FqField(p, k), 1, 1, None, None, bound, prec, name)
+        return cls(q_v, FqField(p, k), 1, 1, None, None, bound, prec, name, units)
 
     def degree(self):
         return self.e_abs * self.f_abs
@@ -100,7 +103,7 @@ class LocalFieldTower:
         embed = self.residue.embedding(new_res)
         return LocalFieldTower(
             self.q_v, new_res, self.e_abs, self.f_abs * f, self,
-            ("unramified", f, embed), self.bound, self.prec, self.name,
+            ("unramified", f, embed), self.bound, self.prec, self.name, self.units,
         )
 
     def extend_eisenstein(self, coeffs, name=None, prec=None, degree=None):
@@ -138,13 +141,13 @@ class LocalFieldTower:
                 raise NotEisensteinError("coefficient %d not determined within precision" % j)
         self._check_bound(m)
         if prec is None:
-            # enough to see every leading term in play (valuations here stay
-            # below ~2 absolute units) without dragging dense tails around
-            prec = max(2 * self.e_abs * m + 32, 4 * m + 8)
+            # `units` absolute units, one by default: the largest valuation the
+            # series route reads is v(psi(y)) = 1/e <= 1; half a unit fails at e = 1
+            prec = max(ceil(self.units * self.e_abs * m) + 32, 4 * m + 8)
         tower = LocalFieldTower(
             self.q_v, self.residue, self.e_abs * m, self.f_abs, self,
             ("eisenstein", coeffs, m), self.bound, prec,
-            name if name is not None else self.name + "'",
+            name if name is not None else self.name + "'", self.units,
         )
         # force one re-expansion so a bad step fails here, not at first use
         tower._prev_uniformizer(min(prec, 4 * m + 4))
@@ -801,40 +804,3 @@ def mu_value(tower, g):
         moved = tame_apply(tower, g, pi) - pi
         return -moved.valuation()
     return tower.different_valuation()
-
-
-# ---------------------------------------------------------------------------
-# derivative congruence (uniformizer-independence of the leading coefficient)
-
-
-def derivative_congruence_check(z_series, psi_of_y):
-    """Check ((f(y) - f(a)) / (y - a))|_{y=a} == f'(a) at a = psi_of_y.
-
-    f = z_series over the tower's residue field; the quotient is produced by
-    exact synthetic division, then both sides are evaluated in the tower.
-    """
-    tower = psi_of_y.tower
-    if z_series.field is not tower.residue:
-        raise ValueError("series coefficients must live in the tower's residue field")
-    if z_series.prec is not None and z_series.prec < 2:
-        raise InsufficientPrecisionError("need at least two known coefficients")
-    if z_series.terms and min(z_series.terms) < 0:
-        raise ValueError("z must be integral in y")
-    a = psi_of_y
-    hi = max(z_series.terms) if z_series.terms else 0
-    coeffs = [tower.from_residue(z_series.terms.get(e, tower.residue.zero))
-              for e in range(hi + 1)]
-    # synthetic division f(y) - f(a) = (y - a) q(y): q_{j-1} = b_j + a*q_j
-    q = [tower.zero()] * max(hi, 1)
-    carry = tower.zero()
-    for j in range(hi, 0, -1):
-        carry = coeffs[j] + carry * a
-        q[j - 1] = carry
-    quotient_at_a = tower.zero()
-    for j in range(len(q) - 1, -1, -1):
-        quotient_at_a = quotient_at_a * a + q[j]
-    deriv = z_series.derivative()
-    deriv_at_a = tower.zero()
-    for e in sorted(deriv.terms):
-        deriv_at_a = deriv_at_a + a.pow(e).scale_coeff(deriv.terms[e])
-    return (quotient_at_a - deriv_at_a).is_zero_within_precision()

@@ -75,7 +75,7 @@ def test_criterion_1_product_formula():
         report = carlitz_product_formula(q, 2, 2)
         elapsed = time.time() - t0
         assert report.total == log_q_value(0)
-        assert elapsed < 5.0, "q=%d took %.2fs" % (q, elapsed)
+        assert elapsed < 1.0, "q=%d took %.2fs" % (q, elapsed)
     _report("criterion 1: Carlitz product formula is exactly 0 for q in {2,3,4,5}")
 
 
@@ -101,12 +101,12 @@ def test_criterion_3_v_adic_through_towers():
             assert pv.log_abs.coeff == Fraction(-place.degree, place.q_v - 1)
             assert pv.log_abs.coeff == -pv.z_v_at_one * place.degree
     elapsed = time.time() - t0
-    assert elapsed < 10.0
+    assert elapsed < 2.0
     _report("criterion 3: v-adic valuations 1/(q_v-1) via towers, deg <= 2, q in {2,3}",
             elapsed)
 
 
-def test_criterion_4_triangle_full_grid():
+def test_criterion_4_triangle_full_grid(tower_units):
     t0 = time.time()
     checked = 0
     for q_v, f, e in TAME_GRID:
@@ -122,12 +122,15 @@ def test_criterion_4_triangle_full_grid():
                 assert closed == via_l == series, (q_v, f, e, phi, psi)
                 checked += 1
     elapsed = time.time() - t0
-    assert elapsed < 5.0
+    # one tower per pair, at one unit: the grid never needs the rerun
+    assert tower_units == [1] * checked
+    assert elapsed < 1.0
     _report("criterion 4: series = closed form = Z - mu on %d grid pairs" % checked,
             elapsed)
 
 
 def test_criterion_5_hat_law_full_grid():
+    t0 = time.time()
     for q_v, f, e in TAME_GRID:
         cm = CMAlgebra(q_v, [CMComponent(f, e)])
         depth = max_recursion_depth(cm, 0)
@@ -137,7 +140,9 @@ def test_criterion_5_hat_law_full_grid():
                 pe = omega_period(cm, phi, psi, depth=depth)
                 expected = 1 if phi == psi else 0
                 assert hat_valuation(pe) == expected, (q_v, f, e, phi, psi)
-    _report("criterion 5: hat valuation is 1 iff phi = psi across the grid")
+    elapsed = time.time() - t0
+    assert elapsed < 1.0
+    _report("criterion 5: hat valuation is 1 iff phi = psi across the grid", elapsed)
 
 
 def test_criterion_6_induction_lemma_identities():

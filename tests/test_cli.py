@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffperiods
+from ffperiods import cmshtuka
 from ffperiods.cli import main
 
 
@@ -291,6 +293,19 @@ def test_omega_twelve_digit_prime_q_v_is_a_resource_limit(capsys, tmp_path):
                          "--phi", "(0,0,0)", "--psi", "(0,0,0)")
     assert code == 2
     assert err.startswith("resource limit:")
+
+
+def test_omega_precision_exhausted_is_a_resource_limit(capsys, tmp_path, monkeypatch):
+    # half a unit on both rungs cannot see an e = 1 period, even after the rerun
+    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), Fraction(1, 2)))
+    monkeypatch.setenv("FFP_TOWER_BOUND", "1000")
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 9,
+                              "components": [{"f": 1, "e": 1, "tame": True}]})
+    code, out, err = run(capsys, "omega", "--cm", path,
+                         "--phi", "(0,0,0)", "--psi", "(0,0,0)", "--depth", "1")
+    assert code == 2
+    assert err.startswith("resource limit:") and "working precision" in err
+    assert "Traceback" not in err and out == ""
 
 
 def test_omega_string_q_v_exit_code(capsys, tmp_path):

@@ -28,7 +28,7 @@ from ffperiods.cmshtuka import (
     tau_invariant_unit_part,
 )
 from ffperiods.fields import FqField
-from ffperiods.series import TruncSeries
+from ffperiods.series import InsufficientPrecisionError, TruncSeries
 
 
 def carlitz_cm(q_v):
@@ -537,3 +537,32 @@ def test_integral_multi_embedding_hardest_datum():
                 + omega_valuation_closed(cm, phi2, phi1))
     assert expected == Fraction(-7, 16)
     assert pe.leading.valuation() == expected
+
+
+@pytest.mark.parametrize("entry", ["omega_period", "integral_u_omega",
+                                   "galois_character_check"])
+def test_precision_fallback_reruns_at_two_units(monkeypatch, tower_units, entry):
+    # e = 1: v(psi(y)) is a full unit, so half a unit cannot see the period
+    cm = carlitz_cm(9)
+    psi = Embedding(0, 0, 0)
+    sh = std_shtuka(cm, {psi: 1})
+    run = {
+        "omega_period": lambda: period_valuation_series(
+            omega_period(cm, psi, psi, depth=1, bound=1000)),
+        "integral_u_omega": lambda: integral_u_omega(
+            sh, psi, depth=1, bound=1000).leading.valuation(),
+        "galois_character_check": lambda: galois_character_check(
+            cm, psi, psi, "inertia", 1, depth=1, bound=1000),
+    }[entry]
+    default = run()
+    assert default in (Fraction(1, 8), True)
+    assert tower_units == [1]
+    tower_units.clear()
+    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), 2))
+    assert run() == default
+    assert tower_units == [Fraction(1, 2), 2]
+    tower_units.clear()
+    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(InsufficientPrecisionError):
+        run()
+    assert tower_units == [Fraction(1, 2), Fraction(1, 2)]

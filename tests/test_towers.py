@@ -7,7 +7,7 @@ import pytest
 from ffperiods import towers
 from ffperiods.cmshtuka import CMAlgebra, CMComponent, omega_period
 from ffperiods.fields import FqField
-from ffperiods.series import TruncSeries
+from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import (
     LocalFieldTower,
     NotEisensteinError,
@@ -16,7 +16,6 @@ from ffperiods.towers import (
     TowerElem,
     TowerError,
     UnsupportedKummerError,
-    derivative_congruence_check,
     mu_value,
     solve_additive_twist,
     solve_frobenius_recursion,
@@ -267,6 +266,39 @@ def test_tame_aut_composition_is_consistent_with_action():
             lhs = tame_apply(t, g * h, x)
             rhs = tame_apply(t, h, tame_apply(t, g, x))
             assert (lhs - rhs).is_zero_within_precision()
+
+
+def derivative_congruence_check(z_series, psi_of_y):
+    """Check ((f(y) - f(a)) / (y - a))|_{y=a} == f'(a) at a = psi_of_y.
+
+    f = z_series over the tower's residue field; the quotient is produced by
+    exact synthetic division, then both sides are evaluated in the tower.
+    """
+    tower = psi_of_y.tower
+    if z_series.field is not tower.residue:
+        raise ValueError("series coefficients must live in the tower's residue field")
+    if z_series.prec is not None and z_series.prec < 2:
+        raise InsufficientPrecisionError("need at least two known coefficients")
+    if z_series.terms and min(z_series.terms) < 0:
+        raise ValueError("z must be integral in y")
+    a = psi_of_y
+    hi = max(z_series.terms) if z_series.terms else 0
+    coeffs = [tower.from_residue(z_series.terms.get(e, tower.residue.zero))
+              for e in range(hi + 1)]
+    # synthetic division f(y) - f(a) = (y - a) q(y): q_{j-1} = b_j + a*q_j
+    q = [tower.zero()] * max(hi, 1)
+    carry = tower.zero()
+    for j in range(hi, 0, -1):
+        carry = coeffs[j] + carry * a
+        q[j - 1] = carry
+    quotient_at_a = tower.zero()
+    for j in range(len(q) - 1, -1, -1):
+        quotient_at_a = quotient_at_a * a + q[j]
+    deriv = z_series.derivative()
+    deriv_at_a = tower.zero()
+    for e in sorted(deriv.terms):
+        deriv_at_a = deriv_at_a + a.pow(e).scale_coeff(deriv.terms[e])
+    return (quotient_at_a - deriv_at_a).is_zero_within_precision()
 
 
 def test_derivative_congruence_examples():
