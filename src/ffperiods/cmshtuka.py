@@ -473,7 +473,7 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
     def run(units):
         fam = recursion_family(cm, phi, depth, bound, prec, rescale, units=units)
         pe = _omega_from_family(fam, cm, phi, psi, w_prec)
-        pe.series_valuation()  # a precision failure raises here, inside the rerun
+        pe.series_valuation()  # raise a late precision failure where it can rerun
         return pe
 
     return _at_working_precision(run)
