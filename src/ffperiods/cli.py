@@ -29,6 +29,7 @@ from .cmshtuka import (
     CMAlgebra,
     CMComponent,
     Embedding,
+    LeadingTermMismatchError,
     WildComponentError,
     hat_valuation,
     max_recursion_depth,
@@ -442,7 +443,7 @@ def main(argv=None):
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except (CrossCheckError,) as exc:
+    except (CrossCheckError, LeadingTermMismatchError) as exc:
         print("cross-check failure: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
     except TowerBoundError as exc:

@@ -59,6 +59,10 @@ class AmbiguousLeadingTermError(ArithmeticError):
     pass
 
 
+class LeadingTermMismatchError(AmbiguousLeadingTermError):
+    """Two readings of one leading term disagree."""
+
+
 class CrossCheckError(AssertionError):
     """Two independent routes to one value disagree (raised, not asserted,
     so that python -O keeps the check)."""
@@ -196,7 +200,7 @@ def std_shtuka(cm, phi_type, eps=None):
 # towers of a component, embedding values
 
 
-def component_tower(cm, i, bound=DEFAULT_TOWER_BOUND, prec=None, units=1):
+def component_tower(cm, i, bound=DEFAULT_TOWER_BOUND, prec=None, units=2):
     """(tower, pi, omega): unramified-then-Kummer tower of component i; pi is
     the chosen root of X^e - z (z itself when e = 1), omega generates mu_e."""
     c = cm.components[i]
@@ -275,7 +279,7 @@ class RecursionFamily:
 
 
 def recursion_family(cm, phi, depth, bound=DEFAULT_TOWER_BOUND, prec=None,
-                     rescale=None, base_tower=None, units=1):
+                     rescale=None, base_tower=None, units=2):
     c = cm.components[phi.i]
     if not c.tame:
         raise WildComponentError("the series route needs a tame component")
@@ -299,17 +303,10 @@ def recursion_family(cm, phi, depth, bound=DEFAULT_TOWER_BOUND, prec=None,
     return fam
 
 
-# The recursion towers run at PRECISION_UNITS[0] absolute units of precision,
-# and once more at PRECISION_UNITS[1] if that raises a precision error.
+# omega_period builds its recursion tower at PRECISION_UNITS[0] absolute units
+# of precision, and once more at PRECISION_UNITS[1] (the default of every other
+# tower) if that raises a precision error.
 PRECISION_UNITS = (1, 2)
-
-
-def _at_working_precision(run):
-    first, second = PRECISION_UNITS
-    try:
-        return run(first)
-    except (InsufficientPrecisionError, AmbiguousLeadingTermError):
-        return run(second)
 
 
 def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
@@ -350,7 +347,7 @@ class PeriodElement:
             )
         vals = self.term_valuations
         if vals and any(a >= b for a, b in zip(vals, vals[1:])):
-            raise AmbiguousLeadingTermError("term valuations fail to increase strictly")
+            raise LeadingTermMismatchError("term valuations fail to increase strictly")
         return self.hat_order
 
     def series_valuation(self):
@@ -476,7 +473,11 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
         pe.series_valuation()  # raise a late precision failure where it can rerun
         return pe
 
-    return _at_working_precision(run)
+    first, second = PRECISION_UNITS
+    try:
+        return run(first)
+    except (InsufficientPrecisionError, AmbiguousLeadingTermError):
+        return run(second)
 
 
 def _omega_from_family(fam, cm, phi, psi, w_prec=None):
@@ -493,7 +494,7 @@ def _omega_from_family(fam, cm, phi, psi, w_prec=None):
     if lead_in_series is None or not lead_in_series.series.terms:
         raise AmbiguousLeadingTermError("period has no visible leading coefficient")
     if lead_in_series.valuation() != leading.valuation():
-        raise AmbiguousLeadingTermError("leading coefficient disagrees with expansion")
+        raise LeadingTermMismatchError("leading coefficient disagrees with expansion")
     return pe
 
 
@@ -695,73 +696,69 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
         depth = max_recursion_depth(cm, i, bound) if len(support) <= 1 else 0
     unit_data = tau_invariant_unit_part(shtuka, depth, bound=bound) if shtuka.eps \
         else None
-
-    def run(units):
-        tower, pi0, _ = component_tower(cm, i, bound=bound, units=units)
-        if unit_data is not None:
-            # host the unramified unit invariants alongside the ramified tower
-            need = unit_data["tower"].f_abs
-            rel = need * tower.f_abs // gcd(need, tower.f_abs) // tower.f_abs
-            if rel > 1:
-                tower = tower.extend_unramified(rel)
-                pi0 = tower.lift_from(pi0)
-        current = tower
-        fams = []
-        for phi in support:
-            fam = recursion_family(cm, phi, depth, bound=bound, base_tower=current)
-            current = fam.tower
-            fams.append((phi, fam))
-        w_prec = depth + 2
-        result = CoeffSeries.one(current, w_prec)
-        hat = 0
-        lead_val_terms = Fraction(0)
-        for phi, fam in fams:
-            fam_up = RecursionFamily(
-                current, current.lift_from(fam.xi), fam.q_tilde,
-                [current.lift_from(x) for x in fam.ells], fam.rescale,
-            )
-            om_w, om_hat, om_lead, _ = _omega_w_series(fam_up, cm, phi, psi, w_prec)
-            d = shtuka.d(phi)
-            hat += om_hat * d
-            lead_val_terms += d * om_lead.valuation()
-            result = (result * om_w.pow(d, w_prec)).truncate(w_prec)
-        if unit_data is not None:
-            result = (result * _unit_factor_w(shtuka, psi, current, unit_data, w_prec)
-                      ).truncate(w_prec)
-        pi_here = current.lift_from(pi0)
-        n_i = u_scaling.u_powers.get(i, 0)
-        if n_i:
-            psi_y = embedding_value(current, cm, psi, pi_here)
-            result = result.scale(psi_y.pow(n_i))
-        if omega_scaling.x_leading_valuation:
-            ordx = omega_scaling.x_leading_valuation * current.e_abs
-            if ordx.denominator != 1:
-                raise ValueError("x-scaling valuation not representable in the tower")
-            result = result.scale(
-                TowerElem(current, TruncSeries.monomial(current.residue, int(ordx)))
-            )
-        zeta_coeffs, _ = _to_zeta_coordinates(current, cm, psi, pi_here, result, w_prec)
-        lead = zeta_coeffs.terms.get(hat)
-        if lead is None or not lead.series.terms:
-            raise AmbiguousLeadingTermError("pairing element has no visible leading term")
-        # the product's leading valuation must assemble from its factors: the
-        # omega leads, the unit factor (valuation 0), the scaling shifts, and the
-        # coordinate-change derivative to the hat-th power
-        expected = (lead_val_terms
-                    + u_scaling.v_psi_u(cm, psi) + omega_scaling.x_leading_valuation)
-        if c.e > 1 and hat:
-            expected -= hat * Fraction(c.e - 1, c.e)
-        if lead.valuation() != expected:
-            raise AmbiguousLeadingTermError(
-                "pairing leading valuation %s disagrees with its factors (%s)"
-                % (lead.valuation(), expected)
-            )
-        if omega_scaling.x_order:
-            zeta_coeffs = zeta_coeffs.shift(omega_scaling.x_order)
-            hat += omega_scaling.x_order
-        return PeriodElement(hat, zeta_coeffs, lead, [], current)
-
-    return _at_working_precision(run)
+    tower, pi0, _ = component_tower(cm, i, bound=bound)
+    if unit_data is not None:
+        # host the unramified unit invariants alongside the ramified tower
+        need = unit_data["tower"].f_abs
+        rel = need * tower.f_abs // gcd(need, tower.f_abs) // tower.f_abs
+        if rel > 1:
+            tower = tower.extend_unramified(rel)
+            pi0 = tower.lift_from(pi0)
+    current = tower
+    fams = []
+    for phi in support:
+        fam = recursion_family(cm, phi, depth, bound=bound, base_tower=current)
+        current = fam.tower
+        fams.append((phi, fam))
+    w_prec = depth + 2
+    result = CoeffSeries.one(current, w_prec)
+    hat = 0
+    lead_val_terms = Fraction(0)
+    for phi, fam in fams:
+        fam_up = RecursionFamily(
+            current, current.lift_from(fam.xi), fam.q_tilde,
+            [current.lift_from(x) for x in fam.ells], fam.rescale,
+        )
+        om_w, om_hat, om_lead, _ = _omega_w_series(fam_up, cm, phi, psi, w_prec)
+        d = shtuka.d(phi)
+        hat += om_hat * d
+        lead_val_terms += d * om_lead.valuation()
+        result = (result * om_w.pow(d, w_prec)).truncate(w_prec)
+    if unit_data is not None:
+        result = (result * _unit_factor_w(shtuka, psi, current, unit_data, w_prec)
+                  ).truncate(w_prec)
+    pi_here = current.lift_from(pi0)
+    n_i = u_scaling.u_powers.get(i, 0)
+    if n_i:
+        psi_y = embedding_value(current, cm, psi, pi_here)
+        result = result.scale(psi_y.pow(n_i))
+    if omega_scaling.x_leading_valuation:
+        ordx = omega_scaling.x_leading_valuation * current.e_abs
+        if ordx.denominator != 1:
+            raise ValueError("x-scaling valuation not representable in the tower")
+        result = result.scale(
+            TowerElem(current, TruncSeries.monomial(current.residue, int(ordx)))
+        )
+    zeta_coeffs, _ = _to_zeta_coordinates(current, cm, psi, pi_here, result, w_prec)
+    lead = zeta_coeffs.terms.get(hat)
+    if lead is None or not lead.series.terms:
+        raise AmbiguousLeadingTermError("pairing element has no visible leading term")
+    # the product's leading valuation must assemble from its factors: the
+    # omega leads, the unit factor (valuation 0), the scaling shifts, and the
+    # coordinate-change derivative to the hat-th power
+    expected = (lead_val_terms
+                + u_scaling.v_psi_u(cm, psi) + omega_scaling.x_leading_valuation)
+    if c.e > 1 and hat:
+        expected -= hat * Fraction(c.e - 1, c.e)
+    if lead.valuation() != expected:
+        raise LeadingTermMismatchError(
+            "pairing leading valuation %s disagrees with its factors (%s)"
+            % (lead.valuation(), expected)
+        )
+    if omega_scaling.x_order:
+        zeta_coeffs = zeta_coeffs.shift(omega_scaling.x_order)
+        hat += omega_scaling.x_order
+    return PeriodElement(hat, zeta_coeffs, lead, [], current)
 
 
 def _unit_factor_w(shtuka, psi, tower, unit_data, w_prec):
@@ -888,52 +885,48 @@ def galois_character_check(cm, phi, psi, g_kind, g_index, depth=2,
     if not c.tame:
         raise WildComponentError("Galois checks are implemented for tame components")
     qt = cm.q_tilde(phi.i)
-
-    def run(units):
-        fam = recursion_family(cm, phi, depth, bound=bound, units=units)
-        tower = fam.tower
-        if g_kind == "inertia":
-            if qt == 2:
-                twisted = list(fam.ells)
-            else:
-                w = tower.residue.root_of_unity(qt - 1)
-                twisted = [ell.scale_coeff(w ** g_index) for ell in fam.ells]
-        elif g_kind == "frobenius":
-            g_xi = fam.xi.coeff_frobenius(g_index)
-            if not (g_xi - fam.xi).is_zero_within_precision():
-                raise TowerError(
-                    "coefficient Frobenius moves xi; unsupported for this embedding"
-                )
-            twisted = [ell.coeff_frobenius(g_index) for ell in fam.ells]
+    fam = recursion_family(cm, phi, depth, bound=bound)
+    tower = fam.tower
+    if g_kind == "inertia":
+        if qt == 2:
+            twisted = list(fam.ells)
         else:
-            raise ValueError("g_kind must be 'inertia' or 'frobenius'")
-        tfam = RecursionFamily(tower, fam.xi, qt, twisted, fam.rescale)
-        if not tfam.verify_tau_property():
-            return False
-        # chi(g) = g(l+)/l+: triangular solve of chi * l+ = g(l+)
-        chi = []
-        l0_inv = fam.ells[0].inv()
-        for n in range(depth + 1):
-            acc = twisted[n]
-            for m in range(n):
-                acc = acc - chi[m] * fam.ells[n - m]
-            chi.append(acc * l0_inv)
-        for coeff in chi:
-            if not (coeff.pow(qt) - coeff).is_zero_within_precision():
-                return False  # not sigma^f-invariant: not in O_E^x
-        w_prec = depth + 2
-        om, _, _, _ = _omega_w_series(fam, cm, phi, psi, w_prec)
-        g_om, _, _, _ = _omega_w_series(tfam, cm, phi, psi, w_prec)
-        s = frobenius_distance(cm, psi, phi)
-        pi = component_uniformizer(tower, c)
-        psi_y = embedding_value(tower, cm, psi, pi)
-        psi_chi = tower.zero()
-        for m, coeff in enumerate(chi):
-            term = coeff.pow(cm.q_v ** s)
-            if m:
-                term = term * psi_y.pow(m)
-            psi_chi = psi_chi + term
-        rhs = om.scale(psi_chi)
-        return (g_om - rhs).is_zero_within_precision()
-
-    return _at_working_precision(run)
+            w = tower.residue.root_of_unity(qt - 1)
+            twisted = [ell.scale_coeff(w ** g_index) for ell in fam.ells]
+    elif g_kind == "frobenius":
+        g_xi = fam.xi.coeff_frobenius(g_index)
+        if not (g_xi - fam.xi).is_zero_within_precision():
+            raise TowerError(
+                "coefficient Frobenius moves xi; unsupported for this embedding"
+            )
+        twisted = [ell.coeff_frobenius(g_index) for ell in fam.ells]
+    else:
+        raise ValueError("g_kind must be 'inertia' or 'frobenius'")
+    tfam = RecursionFamily(tower, fam.xi, qt, twisted, fam.rescale)
+    if not tfam.verify_tau_property():
+        return False
+    # chi(g) = g(l+)/l+: triangular solve of chi * l+ = g(l+)
+    chi = []
+    l0_inv = fam.ells[0].inv()
+    for n in range(depth + 1):
+        acc = twisted[n]
+        for m in range(n):
+            acc = acc - chi[m] * fam.ells[n - m]
+        chi.append(acc * l0_inv)
+    for coeff in chi:
+        if not (coeff.pow(qt) - coeff).is_zero_within_precision():
+            return False  # not sigma^f-invariant: not in O_E^x
+    w_prec = depth + 2
+    om, _, _, _ = _omega_w_series(fam, cm, phi, psi, w_prec)
+    g_om, _, _, _ = _omega_w_series(tfam, cm, phi, psi, w_prec)
+    s = frobenius_distance(cm, psi, phi)
+    pi = component_uniformizer(tower, c)
+    psi_y = embedding_value(tower, cm, psi, pi)
+    psi_chi = tower.zero()
+    for m, coeff in enumerate(chi):
+        term = coeff.pow(cm.q_v ** s)
+        if m:
+            term = term * psi_y.pow(m)
+        psi_chi = psi_chi + term
+    rhs = om.scale(psi_chi)
+    return (g_om - rhs).is_zero_within_precision()

@@ -23,7 +23,6 @@ Fractions with denominator dividing the absolute ramification index.
 """
 
 from fractions import Fraction
-from math import ceil
 
 from .fields import FqField, factor_prime_power
 from .series import TruncSeries
@@ -60,7 +59,7 @@ class LocalFieldTower:
     """One level of a tower; `previous` links to the tower below."""
 
     def __init__(self, q_v, residue, e_abs, f_abs, previous, step, bound, prec, name,
-                 units=1):
+                 units=2):
         self.q_v = q_v
         self.residue = residue
         self.p = residue.p
@@ -80,7 +79,7 @@ class LocalFieldTower:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def base(cls, q_v, bound=DEFAULT_TOWER_BOUND, prec=32, name="z", units=1):
+    def base(cls, q_v, bound=DEFAULT_TOWER_BOUND, prec=32, name="z", units=2):
         p, k = factor_prime_power(q_v)
         return cls(q_v, FqField(p, k), 1, 1, None, None, bound, prec, name, units)
 
@@ -141,9 +140,10 @@ class LocalFieldTower:
                 raise NotEisensteinError("coefficient %d not determined within precision" % j)
         self._check_bound(m)
         if prec is None:
-            # `units` absolute units, one by default: the largest valuation the
-            # series route reads is v(psi(y)) = 1/e <= 1; half a unit fails at e = 1
-            prec = max(ceil(self.units * self.e_abs * m) + 32, 4 * m + 8)
+            # `units` absolute units: the largest valuation the series route
+            # reads is v(psi(y)) = 1/e <= 1, so one unit sees every leading term
+            # (half a unit fails at e = 1); two is the default elsewhere
+            prec = max(self.units * self.e_abs * m + 32, 4 * m + 8)
         tower = LocalFieldTower(
             self.q_v, self.residue, self.e_abs * m, self.f_abs, self,
             ("eisenstein", coeffs, m), self.bound, prec,

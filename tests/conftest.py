@@ -10,7 +10,7 @@ def tower_units(monkeypatch):
     seen = []
     build = cmshtuka.component_tower
 
-    def spy(*args, units=1, **kw):
+    def spy(*args, units=2, **kw):
         seen.append(units)
         return build(*args, units=units, **kw)
 

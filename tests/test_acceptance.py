@@ -122,8 +122,8 @@ def test_criterion_4_triangle_full_grid(tower_units):
                 assert closed == via_l == series, (q_v, f, e, phi, psi)
                 checked += 1
     elapsed = time.time() - t0
-    # one tower per pair, at one unit: the grid never needs the rerun
-    assert tower_units == [1] * checked
+    # every period tower ran at one unit: the grid never needs the rerun
+    assert tower_units and set(tower_units) == {1}
     assert elapsed < 1.0
     _report("criterion 4: series = closed form = Z - mu on %d grid pairs" % checked,
             elapsed)

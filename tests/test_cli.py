@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import ffperiods
 from ffperiods import cmshtuka
 from ffperiods.cli import main
+from ffperiods.cmshtuka import AmbiguousLeadingTermError, LeadingTermMismatchError
+from ffperiods.series import InsufficientPrecisionError
 
 
 def run(capsys, *argv):
@@ -295,16 +296,26 @@ def test_omega_twelve_digit_prime_q_v_is_a_resource_limit(capsys, tmp_path):
     assert err.startswith("resource limit:")
 
 
-def test_omega_precision_exhausted_is_a_resource_limit(capsys, tmp_path, monkeypatch):
-    # half a unit on both rungs cannot see an e = 1 period, even after the rerun
-    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), Fraction(1, 2)))
+@pytest.mark.parametrize("error, code, prefix", [
+    (InsufficientPrecisionError, 2, "resource limit:"),
+    (AmbiguousLeadingTermError, 2, "resource limit:"),
+    (LeadingTermMismatchError, 1, "cross-check failure:"),
+])
+def test_omega_period_failure_after_rerun_exit_code(capsys, tmp_path, monkeypatch,
+                                                    error, code, prefix):
+    # a precision error that survives the two-unit rerun is a resource limit;
+    # two readings of the leading term that disagree are a cross-check failure
+    def short_at_every_unit(fam, *args):
+        raise error("forced at %d units" % fam.tower.units)
+
+    monkeypatch.setattr(cmshtuka, "_omega_from_family", short_at_every_unit)
     monkeypatch.setenv("FFP_TOWER_BOUND", "1000")
     path = cm_file(tmp_path, {"schema": "1", "q_v": 9,
                               "components": [{"f": 1, "e": 1, "tame": True}]})
-    code, out, err = run(capsys, "omega", "--cm", path,
-                         "--phi", "(0,0,0)", "--psi", "(0,0,0)", "--depth", "1")
-    assert code == 2
-    assert err.startswith("resource limit:") and "working precision" in err
+    got, out, err = run(capsys, "omega", "--cm", path,
+                        "--phi", "(0,0,0)", "--psi", "(0,0,0)", "--depth", "1")
+    assert got == code
+    assert err.startswith(prefix) and "forced at 2 units" in err
     assert "Traceback" not in err and out == ""
 
 

@@ -5,10 +5,12 @@ import pytest
 from ffperiods import cmshtuka
 from ffperiods.cmshtuka import (
     CANONICAL,
+    AmbiguousLeadingTermError,
     CMAlgebra,
     CMComponent,
     CrossCheckError,
     Embedding,
+    LeadingTermMismatchError,
     MixedComponentError,
     ScalingData,
     WildComponentError,
@@ -539,32 +541,46 @@ def test_integral_multi_embedding_hardest_datum():
     assert pe.leading.valuation() == expected
 
 
-@pytest.mark.parametrize("entry, expected", [
-    ("omega_period", Fraction(1, 8)),
-    ("integral_u_omega", Fraction(1, 8)),
-    ("galois_character_check", True),
+@pytest.mark.parametrize("error", [
+    InsufficientPrecisionError, AmbiguousLeadingTermError, LeadingTermMismatchError,
 ])
-def test_precision_fallback_reruns_at_two_units(monkeypatch, tower_units, entry, expected):
-    # e = 1: v(psi(y)) is a full unit, so half a unit cannot see the period
+def test_omega_period_reruns_at_two_units(monkeypatch, tower_units, error):
+    cm = carlitz_cm(9)
+    psi = Embedding(0, 0, 0)
+
+    def valuation():
+        return period_valuation_series(omega_period(cm, psi, psi, depth=1, bound=1000))
+
+    assert valuation() == Fraction(1, 8)
+    assert tower_units == [1]
+    tower_units.clear()
+    read = cmshtuka._omega_from_family
+
+    def short_at_one_unit(fam, *args):
+        if fam.tower.units == 1:
+            raise error("forced at one unit")
+        return read(fam, *args)
+
+    monkeypatch.setattr(cmshtuka, "_omega_from_family", short_at_one_unit)
+    assert valuation() == Fraction(1, 8)
+    assert tower_units == [1, 2]
+    tower_units.clear()
+
+    def short_at_every_unit(fam, *args):
+        raise error("forced at %d units" % fam.tower.units)
+
+    monkeypatch.setattr(cmshtuka, "_omega_from_family", short_at_every_unit)
+    with pytest.raises(error, match="forced at 2 units"):
+        valuation()
+    assert tower_units == [1, 2]
+
+
+def test_integral_and_galois_check_build_at_two_units(tower_units):
+    # only omega_period runs at one unit; these keep two, with no rerun
     cm = carlitz_cm(9)
     psi = Embedding(0, 0, 0)
     sh = std_shtuka(cm, {psi: 1})
-    run = {
-        "omega_period": lambda: period_valuation_series(
-            omega_period(cm, psi, psi, depth=1, bound=1000)),
-        "integral_u_omega": lambda: integral_u_omega(
-            sh, psi, depth=1, bound=1000).leading.valuation(),
-        "galois_character_check": lambda: galois_character_check(
-            cm, psi, psi, "inertia", 1, depth=1, bound=1000),
-    }[entry]
-    assert run() == expected
-    assert tower_units == [1]
-    tower_units.clear()
-    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), 2))
-    assert run() == expected
-    assert tower_units == [Fraction(1, 2), 2]
-    tower_units.clear()
-    monkeypatch.setattr(cmshtuka, "PRECISION_UNITS", (Fraction(1, 2), Fraction(1, 2)))
-    with pytest.raises(InsufficientPrecisionError):
-        run()
-    assert tower_units == [Fraction(1, 2), Fraction(1, 2)]
+    assert integral_u_omega(sh, psi, depth=1, bound=1000).leading.valuation() \
+        == Fraction(1, 8)
+    assert galois_character_check(cm, psi, psi, "inertia", 1, depth=1, bound=1000)
+    assert tower_units and set(tower_units) == {2}
