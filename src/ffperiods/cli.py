@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .carlitz import CrossCheckError, carlitz_product_formula, report_as_dict
 from .cmshtuka import (
@@ -435,9 +436,11 @@ def build_parser():
     return parser
 
 
+_parser = lru_cache(maxsize=None)(build_parser)  # one per process: it costs ~1 ms
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except InputError as exc:

@@ -15,12 +15,14 @@ l_n^qt + xi l_n = l_(n-1) for xi = phi(y), forms the eigencomponent period
 
 s = (j(psi) - j(phi)) mod f, and re-expands it in powers of z - zeta.  The
 two canonical outputs are the (z-zeta)-order and the valuation of the
-leading coefficient; the element itself is determined only up to the
-documented unit ambiguity and is kept for internal consistency checks.
+leading coefficient, so omega_period builds only that head; the element
+itself is determined only up to the documented unit ambiguity, and its
+expansion is built on first access for internal consistency checks.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd
 
 from .coeffseries import CoeffSeries, poly_at_series, reversion
@@ -330,15 +332,29 @@ def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
 @dataclass
 class PeriodElement:
     """A truncated element of C_v((z - zeta)): the (z-zeta)-order, the
-    coefficients from that order on, and the exact valuations of the terms
-    that built the leading coefficient (strictly increasing for all
-    supported inputs; checked before any valuation is reported)."""
+    leading coefficient, the exact valuations of the terms that built it
+    (strictly increasing for all supported inputs; checked before any
+    valuation is reported), and `expand()`, which builds the coefficients
+    from that order on; `zeta_coeffs` calls it once, on first access."""
 
     hat_order: int
-    zeta_coeffs: CoeffSeries
     leading: TowerElem
     term_valuations: list
     tower: LocalFieldTower
+    expand: object
+
+    @cached_property
+    def zeta_coeffs(self):
+        return self._checked(self.expand())
+
+    def _checked(self, coeffs):
+        """`coeffs`, once its hat-order coefficient has the leading valuation."""
+        c = coeffs.terms.get(self.hat_order)
+        if c is None or not c.series.terms:
+            raise AmbiguousLeadingTermError("period has no visible leading coefficient")
+        if c.valuation() != self.leading.valuation():
+            raise LeadingTermMismatchError("leading coefficient disagrees with expansion")
+        return coeffs
 
     def hat_valuation(self):
         if not self.leading.series.terms:
@@ -481,20 +497,25 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
 
 
 def _omega_from_family(fam, cm, phi, psi, w_prec=None):
+    """The period from its head: the w- and (z - zeta)-series to hat + 1
+    terms, where the hat order is 1 iff phi = psi.  The expansion to w_prec
+    (default depth + 2) is left to the first read of zeta_coeffs."""
     tower = fam.tower
     if w_prec is None:
         w_prec = fam.depth() + 2
-    w_series, hat, leading, term_vals = _omega_w_series(fam, cm, phi, psi, w_prec)
     pi = component_uniformizer(tower, cm.components[phi.i])
-    zeta_coeffs, dz_dy = _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec)
+    hat = int(phi == psi)
+    w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1)
+    head, dz_dy = _to_zeta_coordinates(tower, cm, psi, pi, w_head, hat + 1)
     if dz_dy is not None and hat:
         leading = leading * dz_dy.inv().pow(hat)
-    pe = PeriodElement(hat, zeta_coeffs, leading, term_vals, tower)
-    lead_in_series = zeta_coeffs.terms.get(0 if hat == 0 else hat)
-    if lead_in_series is None or not lead_in_series.series.terms:
-        raise AmbiguousLeadingTermError("period has no visible leading coefficient")
-    if lead_in_series.valuation() != leading.valuation():
-        raise LeadingTermMismatchError("leading coefficient disagrees with expansion")
+
+    def expand():
+        w_series = _omega_w_series(fam, cm, phi, psi, w_prec)[0]
+        return _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec)[0]
+
+    pe = PeriodElement(hat, leading, term_vals, tower, expand)
+    pe._checked(head)
     return pe
 
 
@@ -758,7 +779,7 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
     if omega_scaling.x_order:
         zeta_coeffs = zeta_coeffs.shift(omega_scaling.x_order)
         hat += omega_scaling.x_order
-    return PeriodElement(hat, zeta_coeffs, lead, [], current)
+    return PeriodElement(hat, lead, [], current, lambda: zeta_coeffs)
 
 
 def _unit_factor_w(shtuka, psi, tower, unit_data, w_prec):

@@ -645,27 +645,3 @@ def monic_irreducibles(field, degree):
     rec([])
     return out
 
-
-def count_irreducibles(q, d):
-    """Necklace count (1/d) * sum_{e|d} mu(e) q^(d/e)."""
-    total = 0
-    for e in range(1, d + 1):
-        if d % e == 0:
-            total += _moebius(e) * q ** (d // e)
-    assert total % d == 0
-    return total // d
-
-
-def _moebius(n):
-    if n == 1:
-        return 1
-    m = 1
-    for p in _prime_divisors(n):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e > 1:
-            return 0
-        m = -m
-    return m

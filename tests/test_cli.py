@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ffperiods
-from ffperiods import cmshtuka
+from ffperiods import cli, cmshtuka
 from ffperiods.cli import main
 from ffperiods.cmshtuka import AmbiguousLeadingTermError, LeadingTermMismatchError
 from ffperiods.series import InsufficientPrecisionError
@@ -485,3 +485,50 @@ def test_malformed_input_files_exit_2(capsys, tmp_path, command, files):
     code, out, err = run(capsys, *argv)
     assert code == 2, err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+
+# small tame data (q_v, f, e): e | q_v^f - 1, so p does not divide e
+SMALL_TAME = [(q_v, f, e) for q_v in (2, 3, 4, 5, 7, 8, 9) for f in (1, 2)
+              if q_v ** f <= 25 for e in range(1, 9) if (q_v ** f - 1) % e == 0]
+
+
+@st.composite
+def omega_calls(draw):
+    """(q_v, f, e), phi, psi, depth and whether the call is valid input."""
+    q_v, f, e = draw(st.sampled_from(SMALL_TAME))
+    in_range = st.builds("(0,{},{})".format, st.integers(0, f - 1), st.integers(0, e - 1))
+    malformed = st.sampled_from(["(0,0)", "(0,0,0,0)", "(a,0,0)", "", "(1,0,0)",
+                                 "(-1,0,0)", "(0,-1,0)", "(0,%d,0)" % f, "(0,0,%d)" % e])
+    embedding = st.one_of(in_range.map(lambda s: (s, True)),
+                          malformed.map(lambda s: (s, False)))
+    (phi, phi_ok), (psi, psi_ok) = draw(embedding), draw(embedding)
+    depth = draw(st.one_of(st.none(), st.integers(-3, 2)))
+    valid = phi_ok and psi_ok and (depth is None or depth >= 0)
+    return (q_v, f, e), phi, psi, depth, valid
+
+
+@given(call=omega_calls())
+@settings(max_examples=100, deadline=None)
+def test_omega_exit_code_contract(tmp_path_factory, call):
+    # exit 0 with agreement, or exit 2 with a message; every call runs in this
+    # process, through the one parser that cli.main keeps
+    (q_v, f, e), phi, psi, depth, valid = call
+    path = tmp_path_factory.getbasetemp() / ("cm_%d_%d_%d.json" % (q_v, f, e))
+    path.write_text(json.dumps({"schema": "1", "q_v": q_v,
+                                "components": [{"f": f, "e": e, "tame": True}]}))
+    argv = ["omega", "--cm", str(path), "--phi=" + phi, "--psi=" + psi]
+    if depth is not None:
+        argv.append("--depth=%d" % depth)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    if code == 0:
+        assert valid and out.endswith("agreement:        yes\n") and not err
+    else:
+        assert code == 2 and not out, (argv, code, err)
+        # invalid input is an error; valid input may only hit a resource limit
+        assert err.startswith("resource limit: " if valid else "error: "), (argv, err)
+    assert cli._parser() is cli._parser()

@@ -584,3 +584,77 @@ def test_integral_and_galois_check_build_at_two_units(tower_units):
         == Fraction(1, 8)
     assert galois_character_check(cm, psi, psi, "inertia", 1, depth=1, bound=1000)
     assert tower_units and set(tower_units) == {2}
+
+
+def _grid_pairs():
+    # test_criterion_4's grid: every embedding pair at the default depth
+    for q_v, f, e in GRID:
+        cm = single_cm(q_v, f, e)
+        depth = max_recursion_depth(cm, 0)
+        for phi in cm.embeddings():
+            for psi in cm.embeddings():
+                yield cm, phi, psi, depth
+
+
+def test_deferred_expansion_matches_eager_expansion(monkeypatch):
+    families = []
+    build = cmshtuka.recursion_family
+
+    def recorded(*args, **kw):
+        families.append(build(*args, **kw))
+        return families[-1]
+
+    monkeypatch.setattr(cmshtuka, "recursion_family", recorded)
+    for cm, phi, psi, depth in _grid_pairs():
+        families.clear()
+        pe = omega_period(cm, phi, psi, depth=depth)
+        (fam,) = families  # no rerun
+        # the eager value: the full w-series at w_prec, then (z - zeta)-coordinates
+        w_prec = depth + 2
+        w_series = cmshtuka._omega_w_series(fam, cm, phi, psi, w_prec)[0]
+        pi = cmshtuka.component_uniformizer(fam.tower, cm.components[0])
+        eager = cmshtuka._to_zeta_coordinates(fam.tower, cm, psi, pi, w_series, w_prec)[0]
+        got = pe.zeta_coeffs
+        assert got.field is eager.field and got.prec == eager.prec
+        assert ({n: c.series for n, c in got.terms.items()}
+                == {n: c.series for n, c in eager.terms.items()}), (cm.q_v, phi, psi)
+        assert pe.zeta_coeffs is got  # built once
+
+
+def test_expansion_disagreeing_with_head_raises_on_first_access(monkeypatch):
+    to_zeta = cmshtuka._to_zeta_coordinates
+
+    def shifted(tower, cm, psi, pi, w_series, w_prec):
+        series, dz_dy = to_zeta(tower, cm, psi, pi, w_series, w_prec)
+        return series.scale(tower.uniformizer()), dz_dy
+
+    for cm, phi, psi, depth in _grid_pairs():
+        pe = omega_period(cm, phi, psi, depth=depth)  # the head agrees with itself
+        monkeypatch.setattr(cmshtuka, "_to_zeta_coordinates", shifted)
+        with pytest.raises(LeadingTermMismatchError, match="disagrees with expansion"):
+            pe.zeta_coeffs
+        monkeypatch.undo()
+        assert pe.zeta_coeffs.terms[pe.hat_order].valuation() == pe.leading.valuation()
+
+
+def test_omega_period_reverts_only_the_head(monkeypatch):
+    precs = []
+    revert = cmshtuka.reversion
+
+    def recorded(g, prec, tower):
+        precs.append(prec)
+        return revert(g, prec, tower)
+
+    monkeypatch.setattr(cmshtuka, "reversion", recorded)
+    full_prec_seen = False
+    for cm, phi, psi, depth in _grid_pairs():
+        precs.clear()
+        pe = omega_period(cm, phi, psi, depth=depth)
+        ramified = cm.components[0].e > 1
+        # the head reverts z - zeta to hat + 2 terms, and only when e > 1
+        assert precs == ([pe.hat_order + 2] if ramified else []), (cm.q_v, phi, psi)
+        pe.zeta_coeffs
+        if ramified:
+            assert precs[-1] == depth + 3  # w_prec + 1, on first access only
+            full_prec_seen |= depth + 3 > pe.hat_order + 2
+    assert full_prec_seen

@@ -13,7 +13,6 @@ from ffperiods.fields import (
     PolyFq,
     _Ring,
     _lex_irreducible,
-    count_irreducibles,
     factor_prime_power,
     monic_irreducibles,
 )
@@ -115,6 +114,30 @@ def test_irreducibles_q2():
 def test_irreducibles_q3_degree1():
     F3 = FqField(3, 1)
     assert len(monic_irreducibles(F3, 1)) == 3  # t, t+1, t+2
+
+
+def _moebius(n):
+    """Moebius function by trial division (test-side reference)."""
+    m, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            m = -m
+        d += 1
+    return -m if n > 1 else m
+
+
+def count_irreducibles(q, d):
+    """Necklace count (1/d) * sum_{e|d} mu(e) q^(d/e)."""
+    total = sum(_moebius(e) * q ** (d // e) for e in range(1, d + 1) if d % e == 0)
+    assert total % d == 0
+    return total // d
+
+
+def test_moebius_reference():
+    assert [_moebius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
