@@ -436,7 +436,7 @@ def build_parser():
     return parser
 
 
-_parser = lru_cache(maxsize=None)(build_parser)  # one per process: it costs ~1 ms
+_parser = lru_cache(maxsize=None)(build_parser)  # built once per process, not per call
 
 
 def main(argv=None):
