@@ -14,7 +14,6 @@ Three ingredients, all exact:
 The grand total is exactly 0 * log q.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,17 +38,19 @@ from .lfunctions import (
     z_v_at_one,
     zeta_closed_forms,
 )
+from .records import FrozenRecord, Record
 from .towers import LocalFieldTower, solve_kummer
 
 _INFTY_PREC_CAP = 20000  # precision cap of the infinite-place product
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(FrozenRecord):
     """A closed point of the projective line: infinity or a monic irreducible."""
 
-    q: int
-    poly: object = None  # PolyFq; None encodes infinity
+    __slots__ = __match_args__ = ("q", "poly")  # poly: PolyFq; None encodes infinity
+
+    def __init__(self, q, poly=None):
+        self._set(q, poly)
 
     @property
     def is_infinite(self):
@@ -109,13 +110,12 @@ def carlitz_infty_log_abs(q, n_terms):
     return value, product
 
 
-@dataclass
-class PlaceValue:
-    place: Place
-    log_abs: LogQValue  # log|pairing|_v
-    z_v_at_one: Fraction  # Z_v(1, 1)
-    via_series: bool  # always True: every place takes the series route
-    hat_order: int
+class PlaceValue(Record):
+    # log_abs = log|pairing|_v; via_series is always True (every place takes the series route)
+    __slots__ = __match_args__ = ("place", "log_abs", "z_v_at_one", "via_series", "hat_order")
+
+    def __init__(self, place, log_abs, z_v_at_one, via_series, hat_order):
+        self._set(place, log_abs, z_v_at_one, via_series, hat_order)
 
 
 @lru_cache(maxsize=None)
@@ -149,19 +149,14 @@ def carlitz_v_log_abs(q, place, depth):
     return PlaceValue(place, value, zv1, True, hat)
 
 
-@dataclass
-class ProductFormulaReport:
-    q: int
-    infty: LogQValue
-    places: list  # PlaceValue, ordered by degree then lexicographically
-    z_infty_at_zero: LogQValue
-    mu_term: LogQValue
-    genus_term: LogQValue
-    tail_value: LogQValue
-    total: LogQValue
+class ProductFormulaReport(Record):
+    # LogQValues, but `places`: PlaceValues, ordered by degree then lexicographically
+    __slots__ = __match_args__ = ("q", "infty", "places", "z_infty_at_zero", "mu_term",
+                                  "genus_term", "tail_value", "total")
 
-    def all_series_routes(self):
-        return all(pv.via_series for pv in self.places)
+    def __init__(self, q, infty, places, z_infty_at_zero, mu_term, genus_term,
+                 tail_value, total):
+        self._set(q, infty, places, z_infty_at_zero, mu_term, genus_term, tail_value, total)
 
 
 def carlitz_product_formula(q, max_degree, depth):

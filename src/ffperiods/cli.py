@@ -51,6 +51,7 @@ from .lfunctions import (
     log_q_value,
     mu_art_v,
     regularized_sum,
+    z_infty_at,
     z_v_rational,
     zeta_closed_forms,
 )
@@ -288,7 +289,7 @@ def cmd_zv(args):
             raise InputError("class-function files need a values map")
         values = {}
         for g in datum.elements:
-            key = g if isinstance(g, str) else "(%d,%d)" % (g.a, g.k)
+            key = "(%d,%d)" % (g.a, g.k) if raw["mode"] == "tame" else str(g)
             if key not in spec["values"]:
                 raise InputError("class function misses a value for %s" % key)
             values[g] = _frac(spec["values"][key])
@@ -361,9 +362,11 @@ def cmd_regularize(args):
             raise InputError("l_infty needs num and den coefficient lists")
         a_identity = _frac(data.get("a_identity", 1))
         mu_infty = LogQValue(_frac(data.get("mu_infty", 0)))
-    explicit = []
+    explicit, rows = [], data.get("explicit", [])
+    if not isinstance(rows, list):
+        raise InputError("explicit must be a list of rows, got %r" % (rows,))
     needs = ("x",) if character == "trivial" else ("x", "z_v_at_1")
-    for row in data.get("explicit", []):
+    for row in rows:
         try:
             deg = int(row["degree"])
         except (KeyError, TypeError, ValueError):
@@ -378,8 +381,6 @@ def cmd_regularize(args):
         )
     try:
         value = regularized_sum(l_infty, q, mu_infty, genus, a_identity, explicit)
-        from .lfunctions import z_infty_at
-
         z0 = z_infty_at(l_infty, q, 0)
     except PoleOrZeroError as exc:
         print("error: %s" % exc, file=sys.stderr)

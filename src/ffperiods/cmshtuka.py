@@ -20,7 +20,6 @@ itself is determined only up to the documented unit ambiguity, and its
 expansion is built on first access for internal consistency checks.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd
@@ -36,6 +35,7 @@ from .lfunctions import (
     mu_art_v,
     z_v_at_one,
 )
+from .records import FrozenRecord, Record
 from .series import InsufficientPrecisionError, TruncSeries
 from .towers import (
     DEFAULT_TOWER_BOUND,
@@ -70,17 +70,14 @@ class CrossCheckError(AssertionError):
     so that python -O keeps the check)."""
 
 
-@dataclass(frozen=True)
-class CMComponent:
-    f: int
-    e: int
-    tame: bool = True
-    diff_valuation: Fraction = None
-    pairwise: tuple = None  # ((k1, k2, value), ...) for wild components
+class CMComponent(FrozenRecord):
+    # pairwise: ((k1, k2, value), ...) for wild components
+    __slots__ = __match_args__ = ("f", "e", "tame", "diff_valuation", "pairwise")
 
-    def __post_init__(self):
-        if self.f < 1 or self.e < 1:
+    def __init__(self, f, e, tame=True, diff_valuation=None, pairwise=None):
+        if f < 1 or e < 1:
             raise ValueError("f and e must be positive")
+        self._set(f, e, tame, diff_valuation, pairwise)
 
     def degree(self):
         return self.f * self.e
@@ -111,9 +108,6 @@ class CMAlgebra:
                 if c.e % self.p == 0:
                     raise ValueError("tame component cannot have p | e")
 
-    def dim(self):
-        return sum(c.degree() for c in self.components)
-
     def q_tilde(self, i):
         return self.q_v ** self.components[i].f
 
@@ -128,11 +122,11 @@ class CMAlgebra:
         return out
 
 
-@dataclass(frozen=True)
-class Embedding:
-    i: int
-    j: int
-    k: int
+class Embedding(FrozenRecord):
+    __slots__ = __match_args__ = ("i", "j", "k")
+
+    def __init__(self, i, j, k):
+        self._set(i, j, k)
 
     def to_tame(self, cm):
         c = cm.components[self.i]
@@ -240,15 +234,14 @@ def embedding_value(tower, cm, emb, pi):
 # the recursion family and its defining property
 
 
-@dataclass
-class RecursionFamily:
+class RecursionFamily(Record):
     """Solution family of sigma^f(l+) = (y - xi) l+ with xi = phi(y)."""
 
-    tower: LocalFieldTower
-    xi: TowerElem
-    q_tilde: int
-    ells: list
-    rescale: list = None  # optional residue-constant multiplier (a_0 != 0)
+    __slots__ = __match_args__ = ("tower", "xi", "q_tilde", "ells", "rescale")
+    # rescale: optional residue-constant multiplier (a_0 != 0)
+
+    def __init__(self, tower, xi, q_tilde, ells, rescale=None):
+        self._set(tower, xi, q_tilde, ells, rescale)
 
     def depth(self):
         return len(self.ells) - 1
@@ -329,19 +322,17 @@ def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
 # period elements
 
 
-@dataclass
-class PeriodElement:
+class PeriodElement(Record):
     """A truncated element of C_v((z - zeta)): the (z-zeta)-order, the
     leading coefficient, the exact valuations of the terms that built it
     (strictly increasing for all supported inputs; checked before any
     valuation is reported), and `expand()`, which builds the coefficients
-    from that order on; `zeta_coeffs` calls it once, on first access."""
+    from that order on; `zeta_coeffs` calls it once (cached in `__dict__`)."""
 
-    hat_order: int
-    leading: TowerElem
-    term_valuations: list
-    tower: LocalFieldTower
-    expand: object
+    __match_args__ = ("hat_order", "leading", "term_valuations", "tower", "expand")
+
+    def __init__(self, hat_order, leading, term_valuations, tower, expand):
+        self._set(hat_order, leading, term_valuations, tower, expand)
 
     @cached_property
     def zeta_coeffs(self):
@@ -679,15 +670,15 @@ def _lift_eps(tower, series, prec):
 # scalings, full-shtuka pairing elements and their valuations
 
 
-@dataclass
-class ScalingData:
+class ScalingData(Record):
     """u-scaling a in E_v^x as per-component uniformizer powers (unit part
     implicit), and omega-scaling x by a leading-coefficient valuation plus a
     (z-zeta)-order."""
 
-    u_powers: dict = field(default_factory=dict)
-    x_leading_valuation: Fraction = Fraction(0)
-    x_order: int = 0
+    __slots__ = __match_args__ = ("u_powers", "x_leading_valuation", "x_order")
+
+    def __init__(self, u_powers=None, x_leading_valuation=Fraction(0), x_order=0):
+        self._set({} if u_powers is None else u_powers, x_leading_valuation, x_order)
 
     def v_psi_u(self, cm, psi):
         return Fraction(self.u_powers.get(psi.i, 0), cm.components[psi.i].e)

@@ -8,10 +8,10 @@ Log-derivative values are exact rational multiples of log q, carried by
 LogQValue and never evaluated in floating point.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .ratfunc import PoleOrZeroError, QPoly, RatFunc
+from .records import FrozenRecord, Record
 from .towers import (
     LocalFieldTower,
     TameAut,
@@ -21,11 +21,13 @@ from .towers import (
 )
 
 
-@dataclass(frozen=True)
-class LogQValue:
+class LogQValue(FrozenRecord):
     """An exact rational multiple of log q."""
 
-    coeff: Fraction
+    __slots__ = __match_args__ = ("coeff",)
+
+    def __init__(self, coeff):
+        self._set(coeff)
 
     def __add__(self, other):
         return LogQValue(self.coeff + other.coeff)
@@ -92,8 +94,8 @@ class LocalGaloisDatum:
         """The Galois closure of the tame extension with invariants (f, e),
         e | q_v^f - 1: elements (a mod f, k mod e), inertia a = 0, mu from
         the explicit Kummer tower X^e - z over the unramified base."""
-        if e > 1 and (q_v ** f - 1) % e != 0:
-            raise ValueError("tame datum needs e | q_v^f - 1")
+        if e < 1 or e > 1 and (q_v ** f - 1) % e != 0:
+            raise ValueError("tame datum needs e >= 1 with e | q_v^f - 1")
         tower = LocalFieldTower.base(q_v, bound=bound or max(4 * e * f, 64))
         tower = tower.extend_unramified(f)
         if e > 1:
@@ -275,14 +277,6 @@ class ClassFunctionQ:
             self.datum, {g: self.values[self.datum.inverse(g)] for g in self.datum.elements}
         )
 
-    def is_class_function(self):
-        d = self.datum
-        for g in d.elements:
-            for h in d.elements:
-                if self.values[d.conjugate(g, h)] != self.values[g]:
-                    return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # the operators
@@ -328,19 +322,14 @@ def mu_art_v(datum, a):
 # embeddings of a tame component and the induced class functions
 
 
-@dataclass(frozen=True)
-class TameEmbedding:
+class TameEmbedding(FrozenRecord):
     """An embedding of the tame component with invariants (f, e): residue
     part j mod f, uniformizer-root index k mod e (psi(y) = w^k pi)."""
 
-    j: int
-    k: int
-    f: int
-    e: int
+    __slots__ = __match_args__ = ("j", "k", "f", "e")
 
-    def __post_init__(self):
-        object.__setattr__(self, "j", self.j % self.f)
-        object.__setattr__(self, "k", self.k % self.e if self.e > 1 else 0)
+    def __init__(self, j, k, f, e):
+        self._set(j % f, k % e if e > 1 else 0, f, e)
 
 
 def act_on_embedding(datum, g, psi):
@@ -446,15 +435,15 @@ def z_infty_at(lfun, q, s0):
     return LogQValue(-u0 * dl / val)
 
 
-@dataclass
-class ExplicitPlaceTerm:
+class ExplicitPlaceTerm(Record):
     """One explicitly computed summand x_v, tagged with the place data needed
     to reconstitute the tail convention there."""
 
-    label: str
-    degree: int
-    x_v: LogQValue
-    z_v_at_one: Fraction  # Z_v(a, 1) for the tail character at this place
+    __slots__ = __match_args__ = ("label", "degree", "x_v", "z_v_at_one")
+    # z_v_at_one: Z_v(a, 1) for the tail character at this place
+
+    def __init__(self, label, degree, x_v, z_v_at_one):
+        self._set(label, degree, x_v, z_v_at_one)
 
 
 def regularized_sum(l_infty_star, q, mu_infty, genus, a_at_identity, explicit_terms):

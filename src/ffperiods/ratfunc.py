@@ -135,15 +135,3 @@ class RatFunc:
         if self.den == QPoly([1]):
             return "(%r)" % self.num
         return "(%r)/(%r)" % (self.num, self.den)
-
-
-def logderiv_value(f, x0):
-    """Exact value of f'(x0)/f(x0) for a RatFunc f; errors if f has a zero or
-    pole at x0 (there the logarithmic derivative has a pole)."""
-    x0 = Fraction(x0)
-    if f.den.evaluate(x0) == 0:
-        raise PoleOrZeroError("pole of f at x = %s" % x0)
-    v = f.evaluate(x0)
-    if v == 0:
-        raise PoleOrZeroError("zero of f at x = %s" % x0)
-    return f.derivative().evaluate(x0) / v

@@ -71,9 +71,6 @@ class TruncSeries:
 
     # -- structure ----------------------------------------------------------
 
-    def is_exact(self):
-        return self.prec is None
-
     def is_zero(self):
         """True iff provably zero (exact and no terms)."""
         return not self.terms and self.prec is None
@@ -117,11 +114,6 @@ class TruncSeries:
 
     def __hash__(self):
         return hash((id(self.field), tuple(sorted(self.terms.items())), self.prec))
-
-    def agrees_with(self, other):
-        """Equality up to the common precision."""
-        d = self - other
-        return not d.terms
 
     def __repr__(self):
         one = self.field.elem(1)

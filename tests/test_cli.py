@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 import ffperiods
@@ -532,3 +534,187 @@ def test_omega_exit_code_contract(tmp_path_factory, call):
         # invalid input is an error; valid input may only hit a resource limit
         assert err.startswith("resource limit: " if valid else "error: "), (argv, err)
     assert cli._parser() is cli._parser()
+
+
+
+def check_exit_contract(argv, expected, last_line):
+    """One in-process call exits `expected`: 0 with stdout ending in a line that
+    starts with `last_line` and nothing on stderr, else a message that starts
+    `error: `.  Never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert "Traceback" not in err
+    assert code == expected, (argv, code, err)
+    if code == 0:
+        assert not err and out.splitlines()[-1].startswith(last_line), (argv, out, err)
+    else:
+        assert err.startswith("error: "), (argv, err)
+
+
+RATIONAL = st.one_of(st.integers(-3, 3),
+                     st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 4)))
+BAD_RATIONAL = st.sampled_from(["1/0", "a", [1], 0.5, None])
+PAIR = st.builds("({},{})".format, st.integers(-3, 3), st.integers(-3, 3))
+BAD_PAIR = st.sampled_from(["(0)", "(a,0)", "", "(0,0,0)"])
+Z2_TABLE = {"schema": "1", "q_v": 2, "mode": "table", "elements": ["id", "g"],
+            "table": {"id": {"id": "id", "g": "g"}, "g": {"id": "g", "g": "id"}},
+            "inertia": ["id", "g"], "frobenius_coset": ["id", "g"]}
+
+
+def maybe(flaws):
+    """No flaw half of the time, else one of `flaws`."""
+    return st.one_of(st.none(), st.sampled_from(flaws))
+
+
+@st.composite
+def galois_data(draw):
+    """A galois.json payload, well formed or with one flaw; the keys of its
+    elements in a class-function file, or None if the payload is malformed;
+    and the keys of the inertia elements it gives no mu for."""
+    shape = draw(st.sampled_from(["tame", "ramified", "tame", "unramified", "int elements"]))
+    if shape == "tame":
+        q_v, f, e = draw(st.sampled_from(SMALL_TAME))
+        payload = {"schema": "1", "q_v": q_v, "mode": "tame", "f": f, "e": e}
+        keys = ["(%d,%d)" % (a, k) for a in range(f) for k in range(e)]
+        flaw = draw(maybe([{"q_v": 6}, {"q_v": "4"}, {"f": 0}, {"f": "a"}, {"e": 0},
+                           {"e": -1}, {"e": q_v ** f}, {"mode": "wild"}]))
+        if flaw is not None:
+            payload.update(flaw)
+            keys = None
+        return payload, keys, set()
+    payload = dict(Z2_TABLE, mu={"id": draw(RATIONAL), "g": draw(RATIONAL)})
+    if shape == "unramified":
+        payload.update(inertia=["id"], frobenius_coset=["g"])
+    elif shape == "int elements":  # JSON numbers are elements too; mu keys never match
+        payload.update(elements=[0, 1], table=[[0, 1], [1, 0]], inertia=[0, 1],
+                       frobenius_coset=[0, 1])
+    flaw = draw(maybe(["no mu", "bad mu", "broken table"]))
+    if flaw == "no mu":
+        del payload["mu"]
+    elif flaw == "bad mu":
+        payload["mu"] = dict(payload["mu"], g=draw(BAD_RATIONAL))
+    elif flaw == "broken table":
+        payload["table"] = {"id": Z2_TABLE["table"]["id"]}
+    keys = None if flaw in ("bad mu", "broken table") else [str(g) for g in payload["elements"]]
+    no_mu = flaw == "no mu" or shape == "int elements"
+    return payload, keys, {str(g) for g in payload["inertia"]} if no_mu else set()
+
+
+@st.composite
+def zv_calls(draw):
+    """(galois payload, class-function payload or None, extra argv, exit code)."""
+    galois, keys, lacks_mu = draw(galois_data())
+    ok, argv, char_file = keys is not None, [], None
+    value = dict.fromkeys(keys or [], 1)  # the character's values by element key
+    kind = draw(st.sampled_from(["default", "trivial", "pair", "file"]))
+    if kind == "trivial":
+        argv = ["--char", "trivial"]
+    elif kind == "pair":
+        argv = ["--char", "pair"]
+        ok = ok and galois.get("mode") == "tame"
+        lacks_mu = set()  # a tame datum's mu is known
+        flaw = draw(maybe(["malformed", "missing"]))
+        for option in ("--phi", "--psi"):
+            if flaw == "missing" and option == "--psi":
+                continue
+            raw = draw(BAD_PAIR if flaw == "malformed" and option == "--phi" else PAIR)
+            argv.append("%s=%s" % (option, raw))
+        ok = ok and flaw is None
+    elif kind == "file":
+        values = {key: draw(RATIONAL) for key in keys or ["id"]}
+        value = {key: Fraction(str(v)) for key, v in values.items()}
+        flaw = draw(maybe(["missing key", "bad value", "not a map"]))
+        if flaw == "missing key":
+            values.popitem()
+        elif flaw == "bad value":
+            values[next(iter(values))] = draw(BAD_RATIONAL)
+        char_file = {"schema": "1", "values": list(values) if flaw == "not a map" else values}
+        ok = ok and flaw is None
+    # mu_Art(a) reads mu(g) only where a(g) != 0
+    ok = ok and not any(value[key] for key in lacks_mu)
+    return galois, char_file, argv, 0 if ok else 2
+
+
+@given(call=zv_calls())
+@settings(max_examples=120, deadline=None)
+def test_zv_exit_code_contract(tmp_path_factory, call):
+    # tame and table data, the trivial, pair and file characters, each well
+    # formed or not: exit 0 with mu_Art, else exit 2 with `error:`
+    galois, char_file, extra, expected = call
+    base = tmp_path_factory.getbasetemp()
+    (base / "zv_galois.json").write_text(json.dumps(galois))
+    argv = ["zv", "--galois", str(base / "zv_galois.json")] + extra
+    if char_file is not None:
+        (base / "zv_char.json").write_text(json.dumps(char_file))
+        argv += ["--char-file", str(base / "zv_char.json")]
+    check_exit_contract(argv, expected, "mu_Art,v(a) = ")
+
+
+def pole_or_zero_at_one(num, den):
+    """Whether num/den, in lowest terms, has a pole or a zero at u = 1, where
+    its log-derivative at s = 0 is read (by sympy)."""
+    u = sympy.symbols("u")
+    n, d = sympy.fraction(sympy.cancel(
+        sum(sympy.Rational(str(c)) * u ** i for i, c in enumerate(num))
+        / sum(sympy.Rational(str(c)) * u ** i for i, c in enumerate(den))))
+    return n.subs(u, 1) == 0 or d.subs(u, 1) == 0
+
+
+REG_FLAWS = [{"q": 6}, {"q": 1}, {"q": "2"}, {"q": None}, {"genus": "a"}, {"genus": [0]},
+             {"explicit": 5}, {"explicit": "ab"}, {"explicit": {"degree": 1, "x": "1"}},
+             {"explicit": [{"degree": 0, "x": "1", "z_v_at_1": "1"}]},
+             {"explicit": [{"degree": "a", "x": "1", "z_v_at_1": "1"}]},
+             {"explicit": [{"x": "1", "z_v_at_1": "1"}]},
+             {"explicit": [{"degree": 1, "z_v_at_1": "1"}]},
+             {"explicit": [{"degree": 1, "x": "1/0", "z_v_at_1": "1"}]},
+             {"explicit": [5]}]
+USER_FLAWS = [{"l_infty": None}, {"l_infty": []}, {"l_infty": {"num": ["1"]}},
+              {"l_infty": {"num": ["1/0"], "den": ["1"]}},
+              {"l_infty": {"num": ["1"], "den": ["0", "0"]}},
+              {"a_identity": "1/0"}, {"mu_infty": [1]},
+              {"explicit": [{"degree": 1, "x": "1"}]}]
+
+
+@st.composite
+def regularize_configs(draw):
+    """A reg.json payload, well formed or with one flaw, and the exit code it
+    must give: 2 if it is malformed, 1 if the user's L has a pole or a zero at
+    s = 0, else 0."""
+    user = draw(st.booleans())
+    row = st.fixed_dictionaries({"label": st.just("t"), "degree": st.integers(1, 3),
+                                 "x": RATIONAL, "z_v_at_1": RATIONAL})
+    config = {"schema": "1", "q": draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])),
+              "genus": draw(st.sampled_from([0, 1, 2, "2"])),
+              "explicit": draw(st.lists(row, max_size=3))}
+    for key in ("genus", "explicit"):
+        if draw(st.booleans()):
+            del config[key]
+    num, den = [], [1]
+    if user:
+        num = draw(st.lists(RATIONAL, max_size=3))
+        den = draw(st.lists(RATIONAL, min_size=1, max_size=3).filter(
+            lambda cs: any(Fraction(str(c)) for c in cs)))
+        config.update(character="user", l_infty={"num": num, "den": den},
+                      a_identity=draw(RATIONAL), mu_infty=draw(RATIONAL))
+    elif draw(st.booleans()):
+        config["character"] = "trivial"
+    flaw = draw(maybe(REG_FLAWS + (USER_FLAWS if user else [])))
+    if flaw is not None:
+        config.update(flaw)
+        if flaw.get("l_infty", 0) is None:
+            del config["l_infty"]
+        return config, 2
+    return config, 1 if user and pole_or_zero_at_one(num, den) else 0
+
+
+@given(call=regularize_configs())
+@settings(max_examples=150, deadline=None)
+def test_regularize_exit_code_contract(tmp_path_factory, call):
+    # trivial and user characters, well formed or with one flaw: exit 0 with
+    # the value, 1 where the user's L has no log-derivative at s = 0, else 2
+    config, expected = call
+    path = tmp_path_factory.getbasetemp() / "reg.json"
+    path.write_text(json.dumps(config))
+    check_exit_contract(["regularize", "--config", str(path)], expected, "value: ")
