@@ -51,16 +51,6 @@ def carlitz_model(q, place_poly, bound=None, prec=None):
     return AMotiveModel(q, 1, [[t_poly]], theta, tower)
 
 
-def identity_model(q, rank, q_v=None):
-    """The etale unit model: tau the identity matrix."""
-    tower = LocalFieldTower.base(q_v or q)
-    theta = tower.uniformizer()
-    one = CoeffSeries.one(tower)
-    zero = CoeffSeries.zero(tower)
-    tau = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
-    return AMotiveModel(q, rank, tau, theta, tower)
-
-
 def _embed_place_coeffs(tower, q, place_poly):
     """The place polynomial's coefficients as residue constants of the tower."""
     src = place_poly.field

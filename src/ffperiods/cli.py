@@ -68,6 +68,10 @@ class InputError(ValueError):
     pass
 
 
+class ResourceLimitError(Exception):
+    pass
+
+
 def _read_input(path, what):
     """The JSON object in the file at `path`, which must have schema "1"."""
     try:
@@ -101,7 +105,11 @@ def _frac(s):
 
 def _frac_str(f):
     f = Fraction(f)
-    return "%d/%d" % (f.numerator, f.denominator)
+    try:
+        return "%d/%d" % (f.numerator, f.denominator)
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        raise ResourceLimitError("a rational has more than %d digits"
+                                 % sys.get_int_max_str_digits())
 
 
 def _log_q_str(v):
@@ -332,6 +340,8 @@ def _parse_tame_pair(raw, f, e):
         j, k = (int(x) for x in parts)
     except Exception:
         raise InputError("tame embeddings are written '(j,k)', got %r" % raw)
+    if not (0 <= j < f and 0 <= k < e):
+        raise InputError("embedding %r out of range for f = %d, e = %d" % (raw, f, e))
     return TameEmbedding(j, k, f, e)
 
 
@@ -385,13 +395,14 @@ def cmd_regularize(args):
     except PoleOrZeroError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_MISMATCH
-    print("regularized value ledger (coefficients of log q):")
-    print("  -Z^infty(a*, 0)   = %s" % _frac_str(-z0.coeff))
-    print("  -mu^infty_Art(a)  = %s" % _frac_str(-mu_infty.coeff))
-    print("  genus term        = %s" % _frac_str(-2 * genus * a_identity))
     corr = sum((t.x_v.coeff + t.z_v_at_one * t.degree for t in explicit), Fraction(0))
-    print("  explicit terms    = %s" % _frac_str(corr))
-    print("value: %s" % _log_q_str(value))
+    ledger = ["regularized value ledger (coefficients of log q):",
+              "  -Z^infty(a*, 0)   = %s" % _frac_str(-z0.coeff),
+              "  -mu^infty_Art(a)  = %s" % _frac_str(-mu_infty.coeff),
+              "  genus term        = %s" % _frac_str(-2 * genus * a_identity),
+              "  explicit terms    = %s" % _frac_str(corr),
+              "value: %s" % _log_q_str(value)]
+    print("\n".join(ledger))  # all or nothing: a line may hit the digit limit
     return EXIT_OK
 
 
@@ -455,6 +466,9 @@ def main(argv=None):
         return EXIT_INVALID
     except (InsufficientPrecisionError, AmbiguousLeadingTermError) as exc:
         print("resource limit: %s (working precision exhausted)" % exc, file=sys.stderr)
+        return EXIT_INVALID
+    except ResourceLimitError as exc:
+        print("resource limit: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
     except (TowerError, PoleOrZeroError, WildComponentError) as exc:
         print("error: %s" % exc, file=sys.stderr)

