@@ -218,8 +218,9 @@ def component_uniformizer(tower, c):
 
 def family_uniformizer(fam, cm, phi):
     """pi read off the family's xi = phi(y) = omega^k pi, not lifted through
-    every level again; the family's levels must keep the residue field of its
-    component tower, as recursion_family's own tower does."""
+    every level again.  omega is the one of xi's own tower: the recursion
+    adjoins (qt-1)-th roots over a residue field of at least qt = q_v^f
+    elements, which holds mu_(qt-1), so it never extends the residue field."""
     c = cm.components[phi.i]
     if c.e == 1 or phi.k == 0:
         return fam.xi
@@ -295,8 +296,7 @@ def recursion_family(cm, phi, depth, bound=DEFAULT_TOWER_BOUND, prec=None,
         pi = component_uniformizer(tower, c)
     xi = embedding_value(tower, cm, phi, pi)
     qt = cm.q_tilde(phi.i)
-    tower, ells = solve_frobenius_recursion(tower, xi, qt, depth)
-    xi = tower.lift_from(xi)
+    tower, ells, xi = solve_frobenius_recursion(tower, xi, qt, depth)
     rescale_elems = None
     if rescale is not None:
         rescale_elems = [tower.residue.elem(a) for a in rescale]
@@ -938,7 +938,7 @@ def galois_character_check(cm, phi, psi, g_kind, g_index, depth=2,
         if not (coeff.pow(qt) - coeff).is_zero_within_precision():
             return False  # not sigma^f-invariant: not in O_E^x
     w_prec = depth + 2
-    pi = component_uniformizer(tower, c)
+    pi = family_uniformizer(fam, cm, phi)
     om, _, _, _ = _omega_w_series(fam, cm, phi, psi, w_prec, pi)
     g_om, _, _, _ = _omega_w_series(tfam, cm, phi, psi, w_prec, pi)
     s = frobenius_distance(cm, psi, phi)

@@ -291,7 +291,9 @@ def z_v_rational(datum, a):
     (1/e_L) * sum_{r=1..f} S_r x^r / (1 - x^f).
     """
     f = datum.f
-    s_by_class = _class_sums(datum, a)
+    s_by_class = [Fraction(0)] * f
+    for g in datum.elements:
+        s_by_class[datum.frobenius_class(g)] += a(g)
     num = QPoly([0])
     for r in range(1, f + 1):
         s_r = s_by_class[r % f]
@@ -302,21 +304,8 @@ def z_v_rational(datum, a):
 
 
 def z_v_at_one(datum, a):
-    """Z_v(a, 1): (1/e_L) sum_{r=1..f} S_r x^r / (1 - x^f) at x = 1/q_v,
-    evaluated in Fractions without building the rational function."""
-    f, x = datum.f, Fraction(1, datum.q_v)
-    s_by_class = _class_sums(datum, a)
-    num = sum((s_by_class[r % f] * x ** r for r in range(1, f + 1)), Fraction(0))
-    return num / ((1 - x ** f) * datum.e)
-
-
-def _class_sums(datum, a):
-    """S_r: the sum of a(g) over the g whose residue action is the q_v^r
-    Frobenius, for r mod f."""
-    sums = [Fraction(0)] * datum.f
-    for g in datum.elements:
-        sums[datum.frobenius_class(g)] += a(g)
-    return sums
+    """Z_v(a, 1): the rational function evaluated at x = 1/q_v."""
+    return z_v_rational(datum, a).evaluate(Fraction(1, datum.q_v))
 
 
 def mu_art_v(datum, a):

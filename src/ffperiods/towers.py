@@ -618,7 +618,7 @@ def solve_kummer(tower, m, a, name=None):
 def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     """Adjoin l_0^(qt-1) = -xi and l_n^qt + xi*l_n = l_(n-1) for n <= depth.
 
-    Returns (tower', [l_0..l_depth]), all in the final tower; raises TowerError
+    Returns (tower', [l_0..l_depth], xi), all in the final tower; raises TowerError
     where the valuation law v(l_n) = v(xi) qt^(-n) / (qt-1) fails.
     """
     q_v = tower.q_v
@@ -646,7 +646,7 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
         if ell_n.valuation() != v_xi * Fraction(1, qt ** n * (qt - 1)):
             raise TowerError("l_%d breaks the valuation law v(l_n) = v(xi) qt^-n/(qt-1)" % n)
         ells.append(ell_n)
-    return tower, ells
+    return tower, ells, xi
 
 
 def _lift_ells(tower, ells, xi, qt):
@@ -655,6 +655,11 @@ def _lift_ells(tower, ells, xi, qt):
     Only l_(n-1) is substituted (for n >= 2 it is the previous uniformizer, so
     the lift is the cached re-expansion); each older l_j is l_(j+1)^qt + xi
     l_(j+1), truncated where a substitution would truncate it.
+
+    The relation keeps that precision: xi and l_(n-1) are known to the
+    tower's prec, and by induction l_(j+1) to qt times l_(j+1)'s old prec, so
+    the qt-th power and the product with xi are known at least as far as
+    qt times l_j's old prec, the same bound scaled from the older level.
     """
     out = [tower.lift(ells[-1])]
     for old in reversed(ells[:-1]):
@@ -662,7 +667,7 @@ def _lift_ells(tower, ells, xi, qt):
         nxt = out[-1]
         ell = (nxt.pow(qt) + xi * nxt).truncate(target)
         if ell.series.prec is not None and ell.series.prec < target:
-            ell = tower.lift(old)  # the relation kept less precision than a lift
+            raise TowerError("l_j lost precision in the recursion relation")
         out.append(ell)
     out.reverse()
     return out

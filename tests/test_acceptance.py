@@ -160,7 +160,7 @@ def test_criterion_6_induction_lemma_identities():
 def test_criterion_7_recursion_valuation_law():
     for q_v, qt in ((2, 2), (3, 3), (4, 4)):
         tower = LocalFieldTower.base(q_v)
-        tower, ells = solve_frobenius_recursion(tower, tower.uniformizer(), qt, 2)
+        tower, ells, _ = solve_frobenius_recursion(tower, tower.uniformizer(), qt, 2)
         for n, ell in enumerate(ells):
             assert ell.valuation() == Fraction(1, qt ** n * (qt - 1))
     _report("criterion 7: v(l_n) = v(xi) qt^-n/(qt-1) for n <= 2, qt in {2,3,4}")

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from ffperiods.fields import FqField, factor_prime_power, monic_irreducibles
 from ffperiods.lfunctions import (
@@ -270,25 +269,6 @@ def test_linearity_of_z_and_mu():
         == z_v_rational(d, a).evaluate(x1) + z_v_rational(d, b).evaluate(x1)
     )
     assert mu_art_v(d, a + b) == mu_art_v(d, a) + mu_art_v(d, b)
-
-
-def _unramified_table_datum():
-    table = {"id": {"id": "id", "g": "g"}, "g": {"id": "g", "g": "id"}}
-    return LocalGaloisDatum.from_table(2, ["id", "g"], table, inertia=["id"],
-                                       frobenius_coset=["g"])
-
-
-DATA = [LocalGaloisDatum.tame(*shape) for shape in
-        ((2, 1, 1), (2, 2, 3), (3, 2, 4), (4, 1, 3), (5, 1, 4), (2, 3, 7), (3, 3, 2))]
-DATA.append(_unramified_table_datum())
-
-
-@given(st.sampled_from(DATA), st.data())
-@settings(max_examples=60, deadline=None)
-def test_z_v_at_one_is_the_rational_function_at_one(d, data):
-    value = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-    a = ClassFunctionQ(d, {g: data.draw(value) for g in d.elements})
-    assert z_v_at_one(d, a) == z_v_rational(d, a).evaluate(Fraction(1, d.q_v))
 
 
 def test_a0_equals_a_for_abelian_data():

@@ -89,7 +89,7 @@ def test_reexpand_artin_schreier_by_hand():
     # tower base l0 with X^q + theta X - l0, theta = -l0^(q-1), q = 2:
     # l0 = l1^2 + l1^3 + l1^4 + ... (geometric, verified by hand for 2 terms)
     t = LocalFieldTower.base(2)
-    tower, ells = solve_frobenius_recursion(t, t.uniformizer(), 2, 1)
+    tower, ells, _ = solve_frobenius_recursion(t, t.uniformizer(), 2, 1)
     # here l0 = zeta is the base uniformizer itself (qt - 1 = 1)
     l0 = tower.level_uniformizer(0)
     terms = l0.series.terms
@@ -149,7 +149,7 @@ def test_frobenius_recursion_valuations():
     # criterion-7 shape: v(l_n) = v(xi) qt^(-n) / (qt - 1)
     for q_v, qt in [(2, 2), (3, 3), (4, 4)]:
         t = LocalFieldTower.base(q_v)
-        tower, ells = solve_frobenius_recursion(t, t.uniformizer(), qt, 2)
+        tower, ells, _ = solve_frobenius_recursion(t, t.uniformizer(), qt, 2)
         for n, ell in enumerate(ells):
             assert ell.valuation() == Fraction(1, qt ** n * (qt - 1))
 
@@ -157,23 +157,24 @@ def test_frobenius_recursion_valuations():
 def test_frobenius_recursion_base_cases():
     # q_v=2, qt=2, N=0: l0 = -zeta = zeta in char 2
     t = LocalFieldTower.base(2)
-    tower, ells = solve_frobenius_recursion(t, t.uniformizer(), 2, 0)
+    tower, ells, _ = solve_frobenius_recursion(t, t.uniformizer(), 2, 0)
     assert tower is t
     assert ells[0].series.terms == t.uniformizer().series.terms
     # q_v=3, qt=3, N=0: v(l0) = 1/2
     t3 = LocalFieldTower.base(3)
-    tower3, ells3 = solve_frobenius_recursion(t3, t3.uniformizer(), 3, 0)
+    tower3, ells3, _ = solve_frobenius_recursion(t3, t3.uniformizer(), 3, 0)
     assert ells3[0].valuation() == Fraction(1, 2)
     # q_v=2, qt=2, N=1: v(l1) = 1/2
     t2 = LocalFieldTower.base(2)
-    tower2, ells2 = solve_frobenius_recursion(t2, t2.uniformizer(), 2, 1)
+    tower2, ells2, _ = solve_frobenius_recursion(t2, t2.uniformizer(), 2, 1)
     assert ells2[1].valuation() == Fraction(1, 2)
 
 
 def test_defining_polynomials_vanish_at_uniformizers():
     t = LocalFieldTower.base(3)
-    tower, ells = solve_frobenius_recursion(t, t.uniformizer(), 3, 2)
-    xi = tower.level_uniformizer(0)
+    tower, ells, xi = solve_frobenius_recursion(t, t.uniformizer(), 3, 2)
+    # the returned xi is the base uniformizer lifted to the top
+    assert xi.series == tower.level_uniformizer(0).series == tower.lift(t.uniformizer()).series
     for n in range(1, 3):
         lhs = ells[n].pow(3) + xi * ells[n] - ells[n - 1]
         assert lhs.is_zero_within_precision()
@@ -461,7 +462,7 @@ def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
 
     monkeypatch.setattr(LocalFieldTower, "lift_from", counting_lift_from)
     t = LocalFieldTower.base(2 ** 18, bound=2 ** 40)
-    tower, ells = solve_frobenius_recursion(t, t.uniformizer(), 2 ** 18, 1)
+    tower, ells, _ = solve_frobenius_recursion(t, t.uniformizer(), 2 ** 18, 1)
     steps = [lvl.step for lvl in tower.depth_levels()
              if lvl.step is not None and lvl.step[0] == "eisenstein"]
     assert [s[2] for s in steps] == [2 ** 18 - 1, 2 ** 18]
