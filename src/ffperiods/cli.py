@@ -315,20 +315,20 @@ def cmd_zv(args):
         a = indicator_pair_function(datum, phi, psi)
         label = "indicator of g.%s = %s" % (args.phi, args.psi)
     z = z_v_rational(datum, a)
-    print("character: %s" % label)
-    print("Z_v(a, s) in x = q_v^(-s): %s" % _ratfunc_str(z))
+    try:
+        mu = mu_art_v(datum, a)
+    except MissingMuError as exc:
+        raise InputError(str(exc))
+    lines = ["character: %s" % label,
+             "Z_v(a, s) in x = q_v^(-s): %s" % _ratfunc_str(z)]
     for s0 in (0, 1):
         x0 = Fraction(datum.q_v) ** (-s0)
         try:
-            val = z.evaluate(x0)
-            print("Z_v(a, %d) = %s" % (s0, _frac_str(val)))
+            lines.append("Z_v(a, %d) = %s" % (s0, _frac_str(z.evaluate(x0))))
         except PoleOrZeroError:
-            print("Z_v(a, %d): pole" % s0)
-    try:
-        mu = mu_art_v(datum, a)
-        print("mu_Art,v(a) = %s" % _frac_str(mu))
-    except MissingMuError as exc:
-        raise InputError(str(exc))
+            lines.append("Z_v(a, %d): pole" % s0)
+    lines.append("mu_Art,v(a) = %s" % _frac_str(mu))
+    print("\n".join(lines))  # nothing printed on an error exit
     return EXIT_OK
 
 

@@ -243,6 +243,13 @@ def test_zv_char_file_missing_value(capsys, tmp_path):
     assert code == 2
 
 
+def test_zv_missing_mu_prints_nothing(capsys, tmp_path):
+    # mu_Art is computed before any line is printed
+    code, out, err = run(capsys, "zv", "--galois", galois_file(tmp_path, Z2_TABLE))
+    assert code == 2
+    assert out == "" and err == "error: mu value missing for 'id'\n"
+
+
 def test_omega_table_free_residue_field(capsys, tmp_path, monkeypatch):
     # q_v = 2^18 is above the log-table limit; e = 3 needs a root of unity
     monkeypatch.setenv("FFP_TOWER_BOUND", "1000000000000")
@@ -540,7 +547,7 @@ def test_omega_exit_code_contract(tmp_path_factory, call):
 def check_exit_contract(argv, expected, last_line, message="error: "):
     """One in-process call exits `expected`: 0 with stdout ending in a line that
     starts with `last_line` and nothing on stderr, else a message that starts
-    `message`.  Never a traceback."""
+    `message` and nothing on stdout.  Never a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -550,7 +557,7 @@ def check_exit_contract(argv, expected, last_line, message="error: "):
     if code == 0:
         assert not err and out.splitlines()[-1].startswith(last_line), (argv, out, err)
     else:
-        assert err.startswith(message), (argv, err)
+        assert err.startswith(message) and not out, (argv, out, err)
 
 
 RATIONAL = st.one_of(st.integers(-3, 3),
