@@ -40,12 +40,12 @@ class AMotiveModel:
             raise ValueError("tau matrix must be %d x %d" % (rank, rank))
 
 
-def carlitz_model(q, place_poly, bound=None, prec=None):
+def carlitz_model(q, place_poly):
     """The Carlitz motive (rank 1, tau = t - theta) over the completion at
     the place of p(theta); theta is the Hensel root of p(X) = zeta."""
     d = place_poly.degree
     q_v = q ** d
-    tower = LocalFieldTower.base(q_v, bound=bound or 64, prec=prec or (4 * d + 28))
+    tower = LocalFieldTower.base(q_v, prec=4 * d + 28)
     theta, _ = _theta_root(tower, q, place_poly)
     t_poly = CoeffSeries(tower, {0: -theta, 1: tower.one()})
     return AMotiveModel(q, 1, [[t_poly]], theta, tower)
@@ -191,7 +191,7 @@ def shtuka_determinant(matrix, prec):
     return det.truncate(prec) if det.prec is not None else det
 
 
-def z_series_hat_order(series, zeta, max_order=None):
+def z_series_hat_order(series, zeta):
     """ord_(z - zeta) of a z-series with R-coefficients: expand around
     z = zeta + u and report the first u-coefficient with a visible term.
 
@@ -203,9 +203,8 @@ def z_series_hat_order(series, zeta, max_order=None):
     bound = series.prec if series.prec is not None else max(series.terms, default=0) + 1
     shift = CoeffSeries(tower, {0: zeta, 1: tower.one()}, bound)
     around = poly_at_series(series, shift, bound, tower)
-    limit = bound if max_order is None else min(bound, max_order + 1)
     zeta_ord = zeta.ord()
-    for m in range(limit):
+    for m in range(bound):
         c = around.terms.get(m)
         if c is None:
             continue
@@ -213,4 +212,4 @@ def z_series_hat_order(series, zeta, max_order=None):
         c = c.truncate((bound - m) * zeta_ord)
         if c.series.terms:
             return m
-    raise TowerError("no visible coefficient below order %d" % limit)
+    raise TowerError("no visible coefficient below order %d" % bound)

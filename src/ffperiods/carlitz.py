@@ -90,7 +90,7 @@ def carlitz_infty_log_abs(q, n_terms):
     if n_terms < 1:
         raise ValueError("need at least one product term")
     prec = max(1, min(q ** n_terms + q + 8, _INFTY_PREC_CAP))
-    tower = LocalFieldTower.base(q, bound=max(64, q), prec=prec)
+    tower = LocalFieldTower.base(q, prec=prec)
     zeta = tower.uniformizer()
     tower, beta = solve_kummer(tower, q - 1, -zeta, name="beta")
     zeta = tower.lift_from(zeta)
@@ -127,8 +127,7 @@ def _series_period(q_v, depth):
     zv1 = z_v_at_one(datum, ClassFunctionQ.trivial(datum))
     cm = CMAlgebra(q_v, [CMComponent(1, 1)])
     psi = Embedding(0, 0, 0)
-    degree = (q_v - 1) * q_v ** depth if q_v > 2 else q_v ** depth
-    pe = omega_period(cm, psi, psi, depth=depth, bound=max(degree, 2))
+    pe = omega_period(cm, psi, psi, depth=depth, bound=None)
     hat = hat_valuation(pe)
     if hat != 1:
         raise CrossCheckError("pairing at q_v = %d has pole order %d, expected 1" % (q_v, hat))

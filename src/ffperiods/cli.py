@@ -26,6 +26,7 @@ from functools import lru_cache
 
 from .carlitz import CrossCheckError, carlitz_product_formula, report_as_dict
 from .cmshtuka import (
+    DEFAULT_TOWER_BOUND,
     AmbiguousLeadingTermError,
     CMAlgebra,
     CMComponent,
@@ -57,7 +58,7 @@ from .lfunctions import (
 )
 from .ratfunc import PoleOrZeroError, QPoly, RatFunc
 from .series import InsufficientPrecisionError
-from .towers import DEFAULT_TOWER_BOUND, TowerBoundError, TowerError
+from .towers import TowerBoundError, TowerError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -319,8 +320,7 @@ def cmd_zv(args):
         mu = mu_art_v(datum, a)
     except MissingMuError as exc:
         raise InputError(str(exc))
-    lines = ["character: %s" % label,
-             "Z_v(a, s) in x = q_v^(-s): %s" % _ratfunc_str(z)]
+    lines = ["character: %s" % label, "Z_v(a, s) in x = q_v^(-s): %s" % _ratfunc_str(z)]
     for s0 in (0, 1):
         x0 = Fraction(datum.q_v) ** (-s0)
         try:

@@ -38,7 +38,6 @@ from .lfunctions import (
 from .records import FrozenRecord, Record
 from .series import InsufficientPrecisionError, TruncSeries
 from .towers import (
-    DEFAULT_TOWER_BOUND,
     LocalFieldTower,
     TowerBoundError,
     TowerElem,
@@ -162,16 +161,13 @@ class LocalShtukaStd:
     def eps_series(self, i, j):
         return self.eps.get((i, j))
 
-    def tau_poly(self, i, j, tower=None, bound=DEFAULT_TOWER_BOUND):
+    def tau_poly(self, i, j):
         """tau_(i,j) without its eps factor, as a polynomial in y with
         coefficients in the component tower (d_phi >= 0 only)."""
         c = self.cm.components[i]
         if not c.tame:
             raise WildComponentError("explicit tau needs a tame component")
-        if tower is None:
-            tower, pi, _ = component_tower(self.cm, i, bound=bound)
-        else:
-            pi = component_uniformizer(tower, c)
+        tower, pi, _ = component_tower(self.cm, i)
         out = CoeffSeries.one(tower)
         for emb in self.cm.embeddings(i):
             if emb.j != j or self.d(emb) == 0:
@@ -196,19 +192,14 @@ def std_shtuka(cm, phi_type, eps=None):
 # towers of a component, embedding values
 
 
-def component_tower(cm, i, bound=DEFAULT_TOWER_BOUND, prec=None, units=2):
+def component_tower(cm, i, bound=None, units=2):
     """(tower, pi, omega): unramified-then-Kummer tower of component i; pi is
     the chosen root of X^e - z (z itself when e = 1), omega generates mu_e."""
     c = cm.components[i]
     if not c.tame:
         raise WildComponentError("explicit towers exist only for tame components")
-    tower = LocalFieldTower.base(cm.q_v, bound=bound, prec=prec or 32, units=units)
-    tower = tower.extend_unramified(c.f)
-    if c.e > 1:
-        z = tower.uniformizer()
-        tower = tower.extend_eisenstein({0: -z}, name="pi", degree=c.e)
-    pi = tower.uniformizer()
-    return tower, pi, _omega_or_one(tower, c.e)
+    tower = LocalFieldTower.tame(cm.q_v, c.f, c.e, bound=bound, units=units)
+    return tower, tower.uniformizer(), _omega_or_one(tower, c.e)
 
 
 def component_uniformizer(tower, c):
@@ -284,13 +275,12 @@ class RecursionFamily(Record):
         return True
 
 
-def recursion_family(cm, phi, depth, bound=DEFAULT_TOWER_BOUND, prec=None,
-                     rescale=None, base_tower=None, units=2):
+def recursion_family(cm, phi, depth, bound=None, rescale=None, base_tower=None, units=2):
     c = cm.components[phi.i]
     if not c.tame:
         raise WildComponentError("the series route needs a tame component")
     if base_tower is None:
-        tower, pi, _ = component_tower(cm, phi.i, bound=bound, prec=prec, units=units)
+        tower, pi, _ = component_tower(cm, phi.i, bound=bound, units=units)
     else:
         tower = base_tower
         pi = component_uniformizer(tower, c)
@@ -313,9 +303,15 @@ def recursion_family(cm, phi, depth, bound=DEFAULT_TOWER_BOUND, prec=None,
 # tower) if that raises a precision error.
 PRECISION_UNITS = (1, 2)
 
+# the tower degree cap of omega_period, integral_u_omega and galois_character_check
+# when the caller gives none (FFP_TOWER_BOUND in the CLI); no other tower is capped
+DEFAULT_TOWER_BOUND = 64
+MAX_RECURSION_DEPTH = 3  # the deepest recursion max_recursion_depth picks
 
-def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
-    """Largest depth <= cap whose recursion tower stays within the bound."""
+
+def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND):
+    """Largest depth <= MAX_RECURSION_DEPTH whose recursion tower stays
+    within the bound."""
     c = cm.components[i]
     qt = cm.q_tilde(i)
     base = c.f * c.e * max(qt - 1, 1)
@@ -323,7 +319,7 @@ def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND, cap=3):
         raise TowerBoundError("even depth 0 needs tower degree %d, above the bound %d"
                               % (base, bound))
     n = 0
-    while n < cap and base * qt ** (n + 1) <= bound:
+    while n < MAX_RECURSION_DEPTH and base * qt ** (n + 1) <= bound:
         n += 1
     return n
 
@@ -466,13 +462,15 @@ def _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec):
     return w_series.substitute(w_of_u, w_prec), zmz.coeff(1)
 
 
-def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
-                 rescale=None, w_prec=None):
+def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, rescale=None,
+                 w_prec=None):
     """The eigencomponent period of the elementary CM shtuka of phi, read in
     the psi-coordinate, as a PeriodElement.
 
-    Verifies the defining recursion to `depth`; the rescale hook multiplies
-    the recursion solution by an integral unit (choice-independence tests).
+    Verifies the defining recursion to `depth` (by default the deepest that
+    `bound` allows); `bound` caps the recursion tower's degree, and None
+    leaves it uncapped.  The rescale hook multiplies the recursion solution
+    by an integral unit (choice-independence tests).
     """
     if phi.i != psi.i:
         raise MixedComponentError("period components must agree: %r vs %r" % (phi, psi))
@@ -484,7 +482,7 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, prec=None,
         depth = max_recursion_depth(cm, phi.i, bound)
 
     def run(units):
-        fam = recursion_family(cm, phi, depth, bound, prec, rescale, units=units)
+        fam = recursion_family(cm, phi, depth, bound, rescale, units=units)
         pe = _omega_from_family(fam, cm, phi, psi, w_prec)
         pe.series_valuation()  # raise a late precision failure where it can rerun
         return pe
@@ -580,7 +578,7 @@ def omega_valuation_via_L(cm, phi, psi, datum=None, pair_function=None):
 # the unit part (all d_phi = 0)
 
 
-def tau_invariant_unit_part(shtuka, depth, bound=DEFAULT_TOWER_BOUND):
+def tau_invariant_unit_part(shtuka, depth):
     """Solve c = tau_0 sigma(c) for the unit twist tau_0 = (eps_(i,j)).
 
     Returns {"tower": t, "c": {(i, j): CoeffSeries in y}}; the tower is only
@@ -589,7 +587,7 @@ def tau_invariant_unit_part(shtuka, depth, bound=DEFAULT_TOWER_BOUND):
     """
     cm = shtuka.cm
     out = {}
-    tower = LocalFieldTower.base(cm.q_v, bound=bound)
+    tower = LocalFieldTower.base(cm.q_v)
     base_k = tower.residue.k
     for i, c in enumerate(cm.components):
         if not c.tame:
@@ -715,8 +713,7 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
     support = [phi for phi in cm.embeddings(i) if shtuka.d(phi)]
     if depth is None:
         depth = max_recursion_depth(cm, i, bound) if len(support) <= 1 else 0
-    unit_data = tau_invariant_unit_part(shtuka, depth, bound=bound) if shtuka.eps \
-        else None
+    unit_data = tau_invariant_unit_part(shtuka, depth) if shtuka.eps else None
     tower, pi0, _ = component_tower(cm, i, bound=bound)
     if unit_data is not None:
         # host the unramified unit invariants alongside the ramified tower

@@ -90,17 +90,13 @@ class LocalGaloisDatum:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def tame(cls, q_v, f, e, bound=None):
+    def tame(cls, q_v, f, e):
         """The Galois closure of the tame extension with invariants (f, e),
         e | q_v^f - 1: elements (a mod f, k mod e), inertia a = 0, mu from
         the explicit Kummer tower X^e - z over the unramified base."""
         if e < 1 or e > 1 and (q_v ** f - 1) % e != 0:
             raise ValueError("tame datum needs e >= 1 with e | q_v^f - 1")
-        tower = LocalFieldTower.base(q_v, bound=bound or max(4 * e * f, 64))
-        tower = tower.extend_unramified(f)
-        if e > 1:
-            z = tower.uniformizer()
-            tower = tower.extend_eisenstein({0: -z}, name="pi", degree=e)
+        tower = LocalFieldTower.tame(q_v, f, e)
         elements = tame_group(q_v, f, e)
         mu_map = {g: mu_value(tower, g) for g in elements}
         return cls(

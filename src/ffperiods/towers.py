@@ -52,11 +52,9 @@ class WildTowerError(TowerError):
     """Raised where only tame towers carry the requested Galois structure."""
 
 
-DEFAULT_TOWER_BOUND = 64
-
-
 class LocalFieldTower:
-    """One level of a tower; `previous` links to the tower below."""
+    """One level of a tower; `previous` links to the tower below.  Built with
+    a `bound`, a tower refuses to grow past that degree; else it has no cap."""
 
     def __init__(self, q_v, residue, e_abs, f_abs, previous, step, bound, prec, name,
                  units=2):
@@ -79,15 +77,24 @@ class LocalFieldTower:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def base(cls, q_v, bound=DEFAULT_TOWER_BOUND, prec=32, name="z", units=2):
+    def base(cls, q_v, bound=None, prec=32, units=2):
         p, k = factor_prime_power(q_v)
-        return cls(q_v, FqField(p, k), 1, 1, None, None, bound, prec, name, units)
+        return cls(q_v, FqField(p, k), 1, 1, None, None, bound, prec, "z", units)
+
+    @classmethod
+    def tame(cls, q_v, f, e, bound=None, units=2):
+        """F_{q_v}((z)), the unramified step of degree f, then (e > 1) the
+        Kummer step X^e - z, whose root "pi" is the top uniformizer."""
+        tower = cls.base(q_v, bound=bound, units=units).extend_unramified(f)
+        if e > 1:
+            tower = tower.extend_eisenstein({0: -tower.uniformizer()}, name="pi", degree=e)
+        return tower
 
     def degree(self):
         return self.e_abs * self.f_abs
 
     def _check_bound(self, factor):
-        if self.degree() * factor > self.bound:
+        if self.bound is not None and self.degree() * factor > self.bound:
             raise TowerBoundError(
                 "tower degree %d exceeds bound %d" % (self.degree() * factor, self.bound)
             )
@@ -105,7 +112,7 @@ class LocalFieldTower:
             ("unramified", f, embed), self.bound, self.prec, self.name, self.units,
         )
 
-    def extend_eisenstein(self, coeffs, name=None, prec=None, degree=None):
+    def extend_eisenstein(self, coeffs, name=None, degree=None):
         """Adjoin a root of X^m + a_{m-1} X^(m-1) + ... + a_0.
 
         `coeffs` is the dense list [a_0, ..., a_{m-1}] (m = its length) or a
@@ -139,11 +146,10 @@ class LocalFieldTower:
             elif lb is not None and lb <= 0:
                 raise NotEisensteinError("coefficient %d not determined within precision" % j)
         self._check_bound(m)
-        if prec is None:
-            # `units` absolute units: the largest valuation the series route
-            # reads is v(psi(y)) = 1/e <= 1, so one unit sees every leading term
-            # (half a unit fails at e = 1); two is the default elsewhere
-            prec = max(self.units * self.e_abs * m + 32, 4 * m + 8)
+        # `units` absolute units: the largest valuation the series route reads
+        # is v(psi(y)) = 1/e <= 1, so one unit sees every leading term (half a
+        # unit fails at e = 1); two is the default elsewhere
+        prec = max(self.units * self.e_abs * m + 32, 4 * m + 8)
         tower = LocalFieldTower(
             self.q_v, self.residue, self.e_abs * m, self.f_abs, self,
             ("eisenstein", coeffs, m), self.bound, prec,
@@ -484,12 +490,13 @@ def _is_below(lower, upper):
 # root solvers
 
 
-def newton_root(tower, coeffs, residue_root, prec=None):
-    """Root of P(X) = sum coeffs[j] X^j lifted from a simple residue root.
+def newton_root(tower, coeffs, residue_root):
+    """Root of P(X) = sum coeffs[j] X^j lifted from a simple residue root, to
+    the tower's precision.
 
     Requires P(x0) = 0 and P'(x0) a unit at the residue level.
     """
-    target = tower.prec if prec is None else prec
+    target = tower.prec
     coeffs = [tower.lift_from(c).truncate(target) for c in coeffs]
     dcoeffs = [c.scale_residue_int(j) for j, c in enumerate(coeffs)][1:]
 
@@ -615,7 +622,7 @@ def solve_kummer(tower, m, a, name=None):
     )
 
 
-def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
+def solve_frobenius_recursion(tower, xi, q_tilde, depth):
     """Adjoin l_0^(qt-1) = -xi and l_n^qt + xi*l_n = l_(n-1) for n <= depth.
 
     Returns (tower', [l_0..l_depth], xi), all in the final tower; raises TowerError
@@ -632,14 +639,13 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth, names=None):
     v_xi = xi.valuation()
     if v_xi <= 0:
         raise ValueError("xi must have positive valuation")
-    tower, ell0 = solve_kummer(tower, qt - 1, -xi, name=(names[0] if names else None))
+    tower, ell0 = solve_kummer(tower, qt - 1, -xi)
     if ell0.valuation() != v_xi / (qt - 1):
         raise TowerError("l_0 breaks the valuation law v(l_0) = v(xi)/(qt-1)")
     ells = [ell0]
     xi = tower.lift(xi)
     for n in range(1, depth + 1):
-        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi}, degree=qt,
-                                        name=(names[n] if names else None))
+        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi}, degree=qt)
         xi = tower.lift(xi)  # the converged re-expansion memoized this substitution
         ells = _lift_ells(tower, ells, xi, qt)
         ell_n = tower.uniformizer()
@@ -673,12 +679,12 @@ def _lift_ells(tower, ells, xi, qt):
     return out
 
 
-def solve_additive_twist(tower, rhs, q_tilde, prec=None):
+def solve_additive_twist(tower, rhs, q_tilde):
     """Solve g - g^qt = rhs to the working precision, extending the residue
     field when the residue equation requires it; returns (tower', g)."""
     qt = q_tilde
     rhs = tower.lift_from(rhs)
-    target = tower.prec if prec is None else prec
+    target = tower.prec
     if not rhs.series.terms:
         return tower, tower.zero(rhs.series.prec)
     if rhs.ord() < 0:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from ffperiods import towers
-from ffperiods.cmshtuka import CMAlgebra, CMComponent, omega_period
+from ffperiods.cmshtuka import CMAlgebra, CMComponent, component_tower, omega_period
+from ffperiods.lfunctions import LocalGaloisDatum
 from ffperiods.fields import FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import (
@@ -105,6 +106,37 @@ def test_tower_bound():
     t2 = t.extend_eisenstein([-z] + [t.zero()] * 2)  # degree 3
     with pytest.raises(TowerBoundError):
         t2.extend_eisenstein([-t2.uniformizer(), t2.lift(z)])
+
+
+def test_base_tower_has_no_cap():
+    # only a tower built with a bound is capped; the old default stopped at 64
+    t = LocalFieldTower.base(2)
+    z = t.uniformizer()
+    top = t.extend_eisenstein({0: -z}, degree=65)
+    assert top.degree() == 65 and top.bound is None
+    assert (top.uniformizer().pow(65) - top.lift(z)).is_zero_within_precision()
+
+
+@pytest.mark.parametrize("q_v,f,e", [(2, 1, 1), (2, 2, 3), (3, 1, 2), (4, 2, 5)])
+def test_tame_tower_shape(q_v, f, e):
+    t = LocalFieldTower.tame(q_v, f, e)
+    assert t.degree() == f * e and t.bound is None
+    assert t.tame_shape()[:2] == (f, e)
+    assert t.name == ("pi" if e > 1 else "z")
+
+
+def test_component_and_galois_towers_share_the_tame_builder(monkeypatch):
+    built = []
+    tame = LocalFieldTower.tame.__func__
+
+    def spy(cls, *args, **kw):
+        built.append(args)
+        return tame(cls, *args, **kw)
+
+    monkeypatch.setattr(LocalFieldTower, "tame", classmethod(spy))
+    component_tower(CMAlgebra(3, [CMComponent(1, 2)]), 0)
+    LocalGaloisDatum.tame(3, 1, 2)
+    assert built == [(3, 1, 2), (3, 1, 2)]
 
 
 def test_solve_kummer_eisenstein_case():
