@@ -6,8 +6,8 @@ import pytest
 
 from ffperiods import towers
 from ffperiods.cmshtuka import CMAlgebra, CMComponent, component_tower, omega_period
-from ffperiods.lfunctions import LocalGaloisDatum
 from ffperiods.fields import FqField
+from ffperiods.lfunctions import LocalGaloisDatum
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import (
     LocalFieldTower,
@@ -109,7 +109,7 @@ def test_tower_bound():
 
 
 def test_base_tower_has_no_cap():
-    # only a tower built with a bound is capped; the old default stopped at 64
+    # only a tower built with a bound is capped
     t = LocalFieldTower.base(2)
     z = t.uniformizer()
     top = t.extend_eisenstein({0: -z}, degree=65)
