@@ -12,13 +12,15 @@ that change in CHANGES.md.
 
 The jobs: every job of the benchmark's omega-deep and big-residue pools
 (with big-residue's known failures) and of carlitz-sweep, read from
-bench/workloads.py; the README's examples; and one job for each message the
-CLI exits 2 (or 1) with.
+bench/workloads.py; a fixed, seeded sample of tame omega jobs off those
+pools; the README's examples; and one job for each message the CLI exits 2
+(or 1) with.
 """
 
 import argparse
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -26,8 +28,9 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 sys.path[:0] = [os.path.dirname(HERE), os.path.join(ROOT, "bench")]
 
+from ffperiods.cmshtuka import DEFAULT_TOWER_BOUND  # noqa: E402
 from golden_replay import replay  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import BIG_FIELDS, WORKLOADS, tame_data  # noqa: E402
 
 
 def cm_text(q_v, f, e):
@@ -50,6 +53,38 @@ def pool_jobs():
             files = {"cm.json": cm_text(*j.cm)} if j.cm else {}
             argv = [a.replace("{cm}", "cm.json") for a in j.argv]
             out.append(job("%s: %s" % (name, j.id), argv, files, j.env))
+    return out
+
+
+# the off-grid sample: tame data with q_v <= 32, residue fields up to 2^10
+# and e <= 12 that no pool holds, at the default tower bound (None) and a few
+# raised ones; each job's bound admits at least depth 0, and psi - phi takes
+# every shape in turn
+OFF_GRID_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+OFF_GRID_BOUNDS = (None, None, None, 256, 4096, 100000)
+OFF_GRID_SHAPES = ((0, 0), (0, 1), (1, 0), (1, 1))  # psi - phi in (j, k)
+
+
+def off_grid_jobs(count=50):
+    pooled = set(tame_data()) | {(q, 1, e) for q in BIG_FIELDS for e in range(1, 13)}
+    data = [(q_v, f, e) for q_v in OFF_GRID_QS for f in range(1, 11) if q_v ** f <= 1024
+            for e in range(1, 13) if (q_v ** f - 1) % e == 0 and (q_v, f, e) not in pooled]
+    rng = random.Random("golden off-grid sample")
+    out, ids = [], set()
+    while len(out) < count:
+        dj, dk = OFF_GRID_SHAPES[len(out) % len(OFF_GRID_SHAPES)]
+        fits = {b: [(q, f, e) for q, f, e in data if f > dj and e > dk
+                    and f * e * (q ** f - 1) <= (b or DEFAULT_TOWER_BOUND)] for b in OFF_GRID_BOUNDS}
+        bound = rng.choice([b for b in OFF_GRID_BOUNDS if fits[b]])
+        q_v, f, e = rng.choice(fits[bound])
+        j, k = rng.randrange(f), rng.randrange(e)
+        phi, psi = "(0,%d,%d)" % (j, k), "(0,%d,%d)" % ((j + dj) % f, (k + dk) % e)
+        rec = omega("off-grid q_v=%d f=%d e=%d phi=%s psi=%s bound=%s"
+                    % (q_v, f, e, phi, psi, bound or "default"), cm_text(q_v, f, e), phi, psi,
+                    env={} if bound is None else {"FFP_TOWER_BOUND": str(bound)})
+        if rec["id"] not in ids:
+            ids.add(rec["id"])
+            out.append(rec)
     return out
 
 
@@ -184,7 +219,7 @@ def message_jobs():
 
 
 def jobs():
-    return pool_jobs() + readme_jobs() + message_jobs()
+    return pool_jobs() + off_grid_jobs() + readme_jobs() + message_jobs()
 
 
 def main():
