@@ -230,8 +230,9 @@ class TruncSeries:
             g = self._of(self.field, (g + g * err).terms, None)
         return g.truncate(prec + m).shift(-m)
 
-    def compose(self, inner):
-        """Substitute `inner` (ord >= 1) for the variable.
+    def compose(self, inner, power=None):
+        """Substitute `inner` (ord >= 1) for the variable, reading its powers
+        from `power` (a `_powers_of` table of inner) when given.
 
         Only nonnegative exponents are allowed here; Laurent substitution is
         assembled by the callers that need it (split off the principal part
@@ -249,11 +250,12 @@ class TruncSeries:
             prec = inner.prec if prec is None else min(prec, inner.prec)
         # term-by-term (sparse supports, huge exponents), sharing the powers
         # inner^(d p^j) the exponents' digits need, summed in one dict
-        power = _powers_of(inner, prec)
+        # a shared table may reach past prec: only then are the sums cut
+        cut, power = (None, _powers_of(inner, prec)) if power is None else (prec, power)
         lb = inner.ord_lower_bound()
         kept = [e for e in sorted(self.terms) if prec is None or lb is None or e * lb < prec]
         scaled = ((self.terms[e], 0, power(e)) for e in kept)
-        return self._of(self.field, _sum_scaled(self.field, scaled), prec)
+        return self._of(self.field, _sum_scaled(self.field, scaled, cut), prec)
 
     def frobenius_coeffs(self, n=1):
         """Raise every coefficient to its p^n power, exponents unchanged."""

@@ -14,10 +14,10 @@ valuation normalized by v(z) = 1 and grows by two kinds of steps:
 Every element is stored as a truncated sparse Laurent series in the *top*
 uniformizer with coefficients in the top residue field.  When a tower is
 extended by an Eisenstein step, the previous uniformizer is re-expanded in
-the new one by a fixed-point iteration on the defining equation; the
-iteration must gain valuation at every sweep, otherwise the step data was
+the new one by Newton's method on the defining equation; the error of the
+iterate must grow at every step (it doubles), otherwise the step data was
 not Eisenstein and we refuse to continue.  Each level memoizes the
-substitutions its lifts make, seeded by the converged sweep, so a lift from
+substitutions its lifts make, seeded by the last Newton step, so a lift from
 far below costs one new substitution per level.  All valuations are exact
 Fractions with denominator dividing the absolute ramification index.
 """
@@ -25,7 +25,7 @@ Fractions with denominator dividing the absolute ramification index.
 from fractions import Fraction
 
 from .fields import FqField, factor_prime_power
-from .series import TruncSeries
+from .series import TruncSeries, _powers_of
 
 
 class TowerError(Exception):
@@ -208,51 +208,48 @@ class LocalFieldTower:
         return cache[prec]
 
     def _reexpand(self, prec):
-        """Solve the defining Eisenstein relation for the previous uniformizer w
-        by the fixed-point iteration w <- -(pi^m + sum_{j>=1} a_j(w) pi^j) / u(w),
-        where a_0 = sum c_r T^r gives u = sum c_r T^(r-1); each sweep must gain
-        valuation strictly.
+        """Solve F(w) = pi^m + sum_j a_j(w) pi^j = 0 for the previous
+        uniformizer w by Newton's method, w <- w - F(w)/F'(w), from the exact
+        w = -pi^m/c with c the pi_old coefficient of a_0, so F'(w) = c mod pi
+        is a unit.  ord F(w) is the order of w's error: it must grow at every
+        step, and doubles.  The last step seeds the lifts' memo with a_j(w - c)
+        = a_j(w) - a_j'(w) c, exact mod T^prec once 2 ord c >= prec.
         """
         assert self.step is not None and self.step[0] == "eisenstein"
         coeffs, m = self.step[1], self.step[2]
-        res = self.residue
         a0 = coeffs[0].series
-        # pure Kummer step X^m - c*pi_old: exact monomial re-expansion
-        if len(coeffs) == 1 and a0.prec is None and set(a0.terms) == {1}:
-            return TruncSeries.monomial(res, m, (-a0.terms[1].inv()))
-        u_series = TruncSeries(res, {e - 1: c for e, c in a0.terms.items()},
-                               None if a0.prec is None else a0.prec - 1)
-        pi_m = TruncSeries.monomial(res, m)
-        w = TruncSeries.zero(res)  # exact zero start
-        last_gain = None
-        for _ in range(prec + 8):
-            todo = {u_series, *(cj.series for j, cj in coeffs.items() if j)}
-            sweep = {s: _subst(s, w, prec) for s in todo}  # memoized only on convergence
-            rhs = pi_m
-            for j, cj in coeffs.items():
-                if j:
-                    rhs = rhs + sweep[cj.series] * TruncSeries.monomial(res, j)
-            rhs = rhs.scale(-res.one)
-            denom = sweep[u_series]
-            inv_target = prec
-            if denom.prec is not None:
-                inv_target = min(inv_target, denom.prec)
-            new_w = (rhs * denom.inv(inv_target)).truncate(prec)
-            diff = new_w - w
-            if not diff.terms:
-                if new_w == w:  # the lifts through new_w may reuse this sweep
-                    self._subst_memo.update(((s, w, prec), v) for s, v in sweep.items())
-                return new_w
-            lb = diff.ord()
-            if lb >= prec:
-                return new_w
-            if last_gain is not None and lb <= last_gain:
-                raise NonConvergenceError(
-                    "re-expansion failed to gain valuation (stuck at order %s)" % lb
-                )
-            last_gain = lb
-            w = new_w
-        raise NonConvergenceError("re-expansion did not converge within the sweep budget")
+        if 1 not in a0.terms:
+            raise NonConvergenceError("F'(w) is not a unit: a_0 has no pi_old term")
+        w, last = TruncSeries.monomial(self.residue, m, -a0.terms[1].inv()), 0
+        if len(coeffs) == 1 and a0.prec is None and len(a0.terms) == 1:
+            return w  # pure Kummer step X^m - c*pi_old: w is exact
+        while True:
+            power = _powers_of(w, prec)  # one table of w for F and F'
+            vals = {j: _subst(cj.series, w, prec, power) for j, cj in coeffs.items()}
+            f = sum((v.shift(j) for j, v in vals.items()), TruncSeries.monomial(self.residue, m))
+            if not f.terms:  # w is the root to f's precision
+                w = w.truncate(f.prec)
+                break
+            k = f.ord()
+            if k <= last:
+                raise NonConvergenceError("re-expansion error stuck at order %d" % k)
+            last = k
+            dvals = {j: _subst(cj.series.derivative(), w, prec - k, power)
+                     for j, cj in coeffs.items()}
+            c = f * sum((v.shift(j) for j, v in dvals.items() if j), dvals[0]).inv()
+            if 2 * k >= prec:
+                w, vals = (w - c).truncate(prec), {j: v - dvals[j] * c for j, v in vals.items()}
+                break
+            w = w - c
+        if not w.terms:  # no term known (prec <= m): nothing worth a memo entry
+            return w
+        for j, cj in coeffs.items():  # cut each value where a fresh _subst would
+            s = cj.series
+            cut = min(prec, w.prec) if s.terms else prec
+            if s.prec is not None:
+                cut = min(cut, s.prec * w.ord())
+            self._subst_memo[s, w, prec] = vals[j].truncate(cut)
+        return w
 
     def lift(self, elem, prec=None):
         """Express an element of a lower tower in this tower."""
@@ -378,14 +375,15 @@ class LocalFieldTower:
         return (f, e, unit)
 
 
-def _subst(series, w, prec):
-    """Substitute w into `series` (nonnegative exponents), truncating to prec."""
+def _subst(series, w, prec, power=None):
+    """Substitute w into `series` (nonnegative exponents), truncating to prec;
+    `power` is a power table of w cut at prec or above."""
     if not series.terms:
         if series.prec is None:
             return TruncSeries.zero(w.field, prec)
         lb = w.ord() if w.terms else 1
         return TruncSeries.zero(w.field, min(prec, series.prec * max(lb, 1)))
-    return series.compose(w).truncate(prec)
+    return series.compose(w, power).truncate(prec)
 
 
 class TowerElem:
@@ -600,12 +598,7 @@ def solve_kummer(tower, m, a, name=None):
         return tower, a
     if m % tower.residue.p == 0:
         raise UnsupportedKummerError("m must be coprime to the characteristic")
-    f_extra = 1
-    qr = tower.residue.q
-    while (qr ** f_extra - 1) % m != 0:
-        f_extra += 1
-        if f_extra > 64:
-            raise UnsupportedKummerError("mu_%d needs an unreasonable extension" % m)
+    f_extra = _mul_order(tower.residue.q, m)  # the degree of F_q(mu_m) over F_q
     if f_extra > 1:
         tower = tower.extend_unramified(f_extra)
         a = tower.lift(a)

@@ -725,7 +725,7 @@ def _pure_kummer(level):
 
 
 def test_one_reexpansion_per_eisenstein_step(monkeypatch):
-    # the construction check and every later lift share one fixed-point solve,
+    # the construction check and every later lift share one Newton solve,
     # made at the tower's own precision
     solves = []
     reexpand = LocalFieldTower._reexpand

@@ -5,12 +5,21 @@ from fractions import Fraction
 import pytest
 
 from ffperiods import towers
-from ffperiods.cmshtuka import CMAlgebra, CMComponent, component_tower, omega_period
+from ffperiods.cmshtuka import (
+    PRECISION_UNITS,
+    CMAlgebra,
+    CMComponent,
+    component_tower,
+    max_recursion_depth,
+    omega_period,
+    recursion_family,
+)
 from ffperiods.fields import FqField
 from ffperiods.lfunctions import LocalGaloisDatum
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import (
     LocalFieldTower,
+    NonConvergenceError,
     NotEisensteinError,
     TameAut,
     TowerBoundError,
@@ -25,6 +34,7 @@ from ffperiods.towers import (
     tame_group,
     newton_root,
 )
+from test_acceptance import TAME_GRID
 
 
 def kummer_tower(q_v, e, **kw):
@@ -98,6 +108,44 @@ def test_reexpand_artin_schreier_by_hand():
     # first few coefficients are all 1: l1^2 + l1^3 + l1^4 ...
     for e in range(2, min(l0.series.prec, 8)):
         assert terms.get(e) == tower.residue.one
+
+
+def test_reexpansion_refuses_a_non_unit_derivative():
+    # X^2 - z^2 is not Eisenstein (extend_eisenstein refuses it first), so the
+    # step is built by hand: a_0 has no z term and F'(w) = 2w is no unit
+    base = LocalFieldTower.base(3)
+    z = base.uniformizer()
+    with pytest.raises(NotEisensteinError):
+        base.extend_eisenstein({0: -(z * z)}, degree=2)
+    top = LocalFieldTower(3, base.residue, 2, 1, base, ("eisenstein", {0: -(z * z)}, 2),
+                          None, 40, "pi")
+    with pytest.raises(NonConvergenceError, match="not a unit"):
+        top._reexpand(40)
+
+
+def test_reexpansion_refuses_an_error_that_does_not_grow():
+    # X + z + z^2 X^-1 over F_2, built by hand (extend_eisenstein takes no
+    # negative index): times X it is X^2 + zX + z^2, whose roots z w (w^2 + w
+    # + 1 = 0) need F_4, so from w = z Newton's error stays at order 1
+    base = LocalFieldTower.base(2)
+    z = base.uniformizer()
+    top = LocalFieldTower(2, base.residue, 1, 1, base, ("eisenstein", {0: z, -1: z * z}, 1),
+                          None, 40, "pi")
+    with pytest.raises(NonConvergenceError, match="stuck at order 1"):
+        top._reexpand(40)
+
+
+def test_solve_kummer_adjoins_mu_m_of_any_order():
+    # mu_67 lives in F_(2^66): the unramified step has the multiplicative order
+    # of 2 mod 67 as its degree, and only a tower's bound caps it
+    t = LocalFieldTower.base(2)
+    z = t.uniformizer()
+    top, root = solve_kummer(t, 67, z)
+    assert top.degree() == 66 * 67 and top.residue.q == 2 ** 66
+    assert (root.pow(67) - top.lift(z)).is_zero_within_precision()
+    capped = LocalFieldTower.base(2, bound=64)
+    with pytest.raises(TowerBoundError):
+        solve_kummer(capped, 67, capped.uniformizer())
 
 
 def test_tower_bound():
@@ -483,6 +531,29 @@ def test_sparse_step_index_out_of_range():
         t.extend_eisenstein([])
 
 
+@given(eisenstein_data())
+@settings(max_examples=60, deadline=None)
+def test_newton_reexpansion_agrees_with_fixed_point(data):
+    # equal on a step without an inexact zero coefficient; with one, the
+    # fixed point's first sweep from w = 0 may lose precision, and Newton
+    # agrees with it to its precision and knows at least as far
+    q_v, a0_terms, others, prec = data
+    t = LocalFieldTower.base(q_v)
+    coeffs = {0: t.element(a0_terms).scale_coeff(-t.residue.one)}
+    for j, (kind, spec) in enumerate(others, 1):
+        if kind != "exact zero":
+            coeffs[j] = t.zero(spec) if kind == "inexact zero" else t.element(spec)
+    try:
+        top = t.extend_eisenstein(coeffs, degree=len(others) + 1)
+    except NotEisensteinError:
+        return  # a_0's z coefficient is 0 in characteristic p
+    got, ref = top._reexpand(prec), reexpand_by_fixed_point(top, prec)
+    if any(kind == "inexact zero" for kind, _ in others):
+        assert got.prec >= ref.prec and got.truncate(ref.prec) == ref
+    else:
+        assert got == ref
+
+
 def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
     # q_v = 2^18: the steps have degree 2^18 - 1 and 2^18, but two coefficients
     calls = []
@@ -502,6 +573,113 @@ def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
     assert len(calls) <= 8
 
 
+# -- Newton re-expansion against the fixed point -----------------------------------
+
+
+def reexpand_by_fixed_point(tower, prec):
+    """The re-expansion by the linear fixed point w <- -(pi^m + sum_{j>=1}
+    a_j(w) pi^j) / u(w), with a_0 = sum c_r T^r and u = sum c_r T^(r-1),
+    from the exact w = 0; each sweep must gain valuation."""
+    coeffs, m = tower.step[1], tower.step[2]
+    res = tower.residue
+    a0 = coeffs[0].series
+    if len(coeffs) == 1 and a0.prec is None and set(a0.terms) == {1}:
+        return TruncSeries.monomial(res, m, (-a0.terms[1].inv()))
+    u_series = TruncSeries(res, {e - 1: c for e, c in a0.terms.items()},
+                           None if a0.prec is None else a0.prec - 1)
+    w, last_gain = TruncSeries.zero(res), None
+    for _ in range(prec + 8):
+        sweep = {s: towers._subst(s, w, prec)
+                 for s in {u_series, *(cj.series for j, cj in coeffs.items() if j)}}
+        rhs = TruncSeries.monomial(res, m)
+        for j, cj in coeffs.items():
+            if j:
+                rhs = rhs + sweep[cj.series].shift(j)
+        denom = sweep[u_series]
+        inv_target = prec if denom.prec is None else min(prec, denom.prec)
+        new_w = (-rhs * denom.inv(inv_target)).truncate(prec)
+        diff = new_w - w
+        if not diff.terms or diff.ord() >= prec:
+            return new_w
+        assert last_gain is None or diff.ord() > last_gain, "the fixed point stalled"
+        last_gain = diff.ord()
+        w = new_w
+    raise AssertionError("the fixed point did not converge")
+
+
+def _eisenstein_levels(tower):
+    return [t for t in tower.depth_levels() if t.step is not None and t.step[0] == "eisenstein"]
+
+
+def test_newton_reexpansion_matches_fixed_point_on_grid_families(monkeypatch):
+    # every Eisenstein step of every recursion family of the acceptance grid,
+    # at both precision units; the memo entries a solve seeds are the fresh
+    # substitutions the lifts would make
+    seeded = []
+    reexpand = LocalFieldTower._reexpand
+
+    def recording(self, prec):
+        before = set(self._subst_memo)
+        w = reexpand(self, prec)
+        seeded.extend((key, self._subst_memo[key]) for key in set(self._subst_memo) - before)
+        return w
+
+    monkeypatch.setattr(LocalFieldTower, "_reexpand", recording)
+    steps = inexact = seeds = 0
+    for q_v, f, e in TAME_GRID:
+        cm = CMAlgebra(q_v, [CMComponent(f, e)])
+        for phi in cm.embeddings():
+            for units in PRECISION_UNITS:
+                fam = recursion_family(cm, phi, max_recursion_depth(cm, 0), units=units)
+                for t in _eisenstein_levels(fam.tower):
+                    got = t._prev_uniformizer(t.prec)
+                    assert got == reexpand_by_fixed_point(t, t.prec), (q_v, f, e, phi, t.name)
+                    coeffs, a0 = t.step[1], t.step[1][0].series
+                    steps += 1
+                    inexact += any(c.series.prec is not None for c in coeffs.values())
+                    if len(coeffs) > 1 or a0.prec is not None or set(a0.terms) != {1}:
+                        # not a pure Kummer step: Newton ran, and seeded each series
+                        seeds += len({c.series for c in coeffs.values()})
+    assert steps > 100 and inexact > 10
+    assert len(seeded) == seeds > 40
+    for (series, w, prec), value in seeded:
+        assert value == towers._subst(series, w, prec)
+
+
+def _step(q_v, coeffs, m):
+    """The tower over F_{q_v}((z)) with the Eisenstein step {j: (terms, prec)}."""
+    base = LocalFieldTower.base(q_v)
+    return base.extend_eisenstein({j: base.element(*c) for j, c in coeffs.items()}, degree=m)
+
+
+@pytest.mark.parametrize("q_v, coeffs, m", [
+    (3, {0: ({1: -1, 2: 1}, 4)}, 2),  # inexact a_0 alone
+    (3, {0: ({1: 1}, None), 1: ({1: 1, 3: 1}, 5)}, 3),  # inexact a_1
+    (2, {0: ({1: 1, 3: 1}, 6), 1: ({2: 1}, 4), 3: ({1: 1, 2: 1}, None)}, 4),
+    (4, {0: ({1: 1, 2: 1}, None), 1: ({1: 1}, 3), 2: ({2: 1, 5: 1}, None),
+         4: ({1: 1}, 7)}, 5),  # four coefficients
+    (9, {0: ({1: 2, 4: 1}, None), 1: ({1: 1}, None), 2: ({3: 1}, None)}, 3),
+])
+def test_newton_reexpansion_matches_fixed_point_on_inexact_steps(q_v, coeffs, m):
+    top = _step(q_v, coeffs, m)
+    assert len(top._subst_memo) == len(coeffs)  # the construction seeded the memo
+    for (series, w, prec), value in top._subst_memo.items():
+        assert value == towers._subst(series, w, prec)
+    for prec in (top.prec, 7, 20):
+        got = top._reexpand(prec)
+        assert got == reexpand_by_fixed_point(top, prec), prec
+
+
+def test_newton_reexpansion_refines_the_fixed_point_on_inexact_zeros():
+    # X^3 + O(z^2) X + z over F_3: the fixed point's first sweep from w = 0
+    # knows a_1(0) only to O(T^2), so it returns O(T^3) with no term; Newton
+    # starts from the exact w = -T^3, where a_1(w) T is known to O(T^7)
+    top = _step(3, {0: ({1: 1}, None), 1: ({}, 2)}, 3)
+    got, ref = top._prev_uniformizer(top.prec), reexpand_by_fixed_point(top, top.prec)
+    assert ref == TruncSeries.zero(top.residue, 3)
+    assert got == TruncSeries(top.residue, {3: -1}, 7)
+
+
 # -- each substitution once -------------------------------------------------------
 
 
@@ -510,12 +688,12 @@ def test_omega_period_substitutes_nothing_twice(monkeypatch):
     calls = Counter()
     subst = towers._subst
 
-    def recording_subst(series, w, prec):
+    def recording_subst(series, w, prec, power=None):
         frame = sys._getframe(1)
         while not isinstance(frame.f_locals.get("self"), LocalFieldTower):
             frame = frame.f_back
         calls[frame.f_locals["self"], series, w, prec] += 1
-        return subst(series, w, prec)
+        return subst(series, w, prec, power)
 
     monkeypatch.setattr(towers, "_subst", recording_subst)
     cm = CMAlgebra(9, [CMComponent(1, 8)])
