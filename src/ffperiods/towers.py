@@ -209,11 +209,12 @@ class LocalFieldTower:
 
     def _reexpand(self, prec):
         """Solve F(w) = pi^m + sum_j a_j(w) pi^j = 0 for the previous
-        uniformizer w by Newton's method, w <- w - F(w)/F'(w), from the exact
-        w = -pi^m/c with c the pi_old coefficient of a_0, so F'(w) = c mod pi
-        is a unit.  ord F(w) is the order of w's error: it must grow at every
-        step, and doubles.  The last step seeds the lifts' memo with a_j(w - c)
-        = a_j(w) - a_j'(w) c, exact mod T^prec once 2 ord c >= prec.
+        uniformizer w by Newton's method, w <- w - c with c = F(w)/F'(w), from
+        the exact w = -pi^m/c_1, c_1 the pi_old coefficient of a_0, so F'(w) =
+        c_1 mod pi is a unit.  ord F(w) = ord c is the order of w's error: it
+        must grow at every step, and doubles.  The last step seeds the lifts'
+        memo with a_j(w - c) = a_j(w) - a_j'(w) c, exact mod T^prec once
+        2 ord c >= prec.
         """
         assert self.step is not None and self.step[0] == "eisenstein"
         coeffs, m = self.step[1], self.step[2]
