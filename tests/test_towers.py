@@ -531,29 +531,6 @@ def test_sparse_step_index_out_of_range():
         t.extend_eisenstein([])
 
 
-@given(eisenstein_data())
-@settings(max_examples=60, deadline=None)
-def test_newton_reexpansion_agrees_with_fixed_point(data):
-    # equal on a step without an inexact zero coefficient; with one, the
-    # fixed point's first sweep from w = 0 may lose precision, and Newton
-    # agrees with it to its precision and knows at least as far
-    q_v, a0_terms, others, prec = data
-    t = LocalFieldTower.base(q_v)
-    coeffs = {0: t.element(a0_terms).scale_coeff(-t.residue.one)}
-    for j, (kind, spec) in enumerate(others, 1):
-        if kind != "exact zero":
-            coeffs[j] = t.zero(spec) if kind == "inexact zero" else t.element(spec)
-    try:
-        top = t.extend_eisenstein(coeffs, degree=len(others) + 1)
-    except NotEisensteinError:
-        return  # a_0's z coefficient is 0 in characteristic p
-    got, ref = top._reexpand(prec), reexpand_by_fixed_point(top, prec)
-    if any(kind == "inexact zero" for kind, _ in others):
-        assert got.prec >= ref.prec and got.truncate(ref.prec) == ref
-    else:
-        assert got == ref
-
-
 def test_recursion_step_costs_its_nonzero_coefficients(monkeypatch):
     # q_v = 2^18: the steps have degree 2^18 - 1 and 2^18, but two coefficients
     calls = []
@@ -594,10 +571,11 @@ def reexpand_by_fixed_point(tower, prec):
         rhs = TruncSeries.monomial(res, m)
         for j, cj in coeffs.items():
             if j:
-                rhs = rhs + sweep[cj.series].shift(j)
+                rhs = rhs + sweep[cj.series] * TruncSeries.monomial(res, j)
+        rhs = rhs.scale(-res.one)
         denom = sweep[u_series]
         inv_target = prec if denom.prec is None else min(prec, denom.prec)
-        new_w = (-rhs * denom.inv(inv_target)).truncate(prec)
+        new_w = (rhs * denom.inv(inv_target)).truncate(prec)
         diff = new_w - w
         if not diff.terms or diff.ord() >= prec:
             return new_w
@@ -678,6 +656,29 @@ def test_newton_reexpansion_refines_the_fixed_point_on_inexact_zeros():
     got, ref = top._prev_uniformizer(top.prec), reexpand_by_fixed_point(top, top.prec)
     assert ref == TruncSeries.zero(top.residue, 3)
     assert got == TruncSeries(top.residue, {3: -1}, 7)
+
+
+@given(eisenstein_data())
+@settings(max_examples=60, deadline=None)
+def test_newton_reexpansion_agrees_with_fixed_point(data):
+    # equal on a step without an inexact zero coefficient; with one, the
+    # fixed point's first sweep from w = 0 may lose precision, and Newton
+    # agrees with it to its precision and knows at least as far
+    q_v, a0_terms, others, prec = data
+    t = LocalFieldTower.base(q_v)
+    coeffs = {0: t.element(a0_terms).scale_coeff(-t.residue.one)}
+    for j, (kind, spec) in enumerate(others, 1):
+        if kind != "exact zero":
+            coeffs[j] = t.zero(spec) if kind == "inexact zero" else t.element(spec)
+    try:
+        top = t.extend_eisenstein(coeffs, degree=len(others) + 1)
+    except NotEisensteinError:
+        return  # a_0's z coefficient is 0 in characteristic p
+    got, ref = top._reexpand(prec), reexpand_by_fixed_point(top, prec)
+    if any(kind == "inexact zero" for kind, _ in others):
+        assert got.prec >= ref.prec and got.truncate(ref.prec) == ref
+    else:
+        assert got == ref
 
 
 # -- each substitution once -------------------------------------------------------
