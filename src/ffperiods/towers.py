@@ -244,12 +244,11 @@ class LocalFieldTower:
             w = w - c
         if not w.terms:  # no term known (prec <= m): nothing worth a memo entry
             return w
-        for j, cj in coeffs.items():  # cut each value where a fresh _subst would
+        # seed the lifts' memo: a fresh _subst of a_j stops at w's prec when a_j
+        # has terms, and vals[j] already stops where a_j's own prec makes it
+        for j, cj in coeffs.items():
             s = cj.series
-            cut = min(prec, w.prec) if s.terms else prec
-            if s.prec is not None:
-                cut = min(cut, s.prec * w.ord())
-            self._subst_memo[s, w, prec] = vals[j].truncate(cut)
+            self._subst_memo[s, w, prec] = vals[j].truncate(w.prec) if s.terms else vals[j]
         return w
 
     def lift(self, elem, prec=None):

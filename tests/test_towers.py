@@ -585,10 +585,6 @@ def reexpand_by_fixed_point(tower, prec):
     raise AssertionError("the fixed point did not converge")
 
 
-def _eisenstein_levels(tower):
-    return [t for t in tower.depth_levels() if t.step is not None and t.step[0] == "eisenstein"]
-
-
 def test_newton_reexpansion_matches_fixed_point_on_grid_families(monkeypatch):
     # every Eisenstein step of every recursion family of the acceptance grid,
     # at both precision units; the memo entries a solve seeds are the fresh
@@ -609,7 +605,9 @@ def test_newton_reexpansion_matches_fixed_point_on_grid_families(monkeypatch):
         for phi in cm.embeddings():
             for units in PRECISION_UNITS:
                 fam = recursion_family(cm, phi, max_recursion_depth(cm, 0), units=units)
-                for t in _eisenstein_levels(fam.tower):
+                for t in fam.tower.depth_levels():
+                    if t.step is None or t.step[0] != "eisenstein":
+                        continue
                     got = t._prev_uniformizer(t.prec)
                     assert got == reexpand_by_fixed_point(t, t.prec), (q_v, f, e, phi, t.name)
                     coeffs, a0 = t.step[1], t.step[1][0].series
@@ -630,6 +628,14 @@ def _step(q_v, coeffs, m):
     return base.extend_eisenstein({j: base.element(*c) for j, c in coeffs.items()}, degree=m)
 
 
+def _assert_seeded_fresh(top, coeffs):
+    # the construction seeded one memo entry per coefficient, each the
+    # substitution a lift would make
+    assert len(top._subst_memo) == len(coeffs)
+    for (series, w, prec), value in top._subst_memo.items():
+        assert value == towers._subst(series, w, prec)
+
+
 @pytest.mark.parametrize("q_v, coeffs, m", [
     (3, {0: ({1: -1, 2: 1}, 4)}, 2),  # inexact a_0 alone
     (3, {0: ({1: 1}, None), 1: ({1: 1, 3: 1}, 5)}, 3),  # inexact a_1
@@ -640,9 +646,7 @@ def _step(q_v, coeffs, m):
 ])
 def test_newton_reexpansion_matches_fixed_point_on_inexact_steps(q_v, coeffs, m):
     top = _step(q_v, coeffs, m)
-    assert len(top._subst_memo) == len(coeffs)  # the construction seeded the memo
-    for (series, w, prec), value in top._subst_memo.items():
-        assert value == towers._subst(series, w, prec)
+    _assert_seeded_fresh(top, coeffs)
     for prec in (top.prec, 7, 20):
         got = top._reexpand(prec)
         assert got == reexpand_by_fixed_point(top, prec), prec
@@ -653,6 +657,7 @@ def test_newton_reexpansion_refines_the_fixed_point_on_inexact_zeros():
     # knows a_1(0) only to O(T^2), so it returns O(T^3) with no term; Newton
     # starts from the exact w = -T^3, where a_1(w) T is known to O(T^7)
     top = _step(3, {0: ({1: 1}, None), 1: ({}, 2)}, 3)
+    _assert_seeded_fresh(top, {0: None, 1: None})
     got, ref = top._prev_uniformizer(top.prec), reexpand_by_fixed_point(top, top.prec)
     assert ref == TruncSeries.zero(top.residue, 3)
     assert got == TruncSeries(top.residue, {3: -1}, 7)
