@@ -16,7 +16,7 @@ For the Carlitz motive at a degree-1 place the output is exactly z - zeta.
 
 from .coeffseries import CoeffSeries, poly_at_series
 from .fields import PolyFq
-from .towers import LocalFieldTower, TowerError, newton_root
+from .towers import LocalFieldTower, TowerError, _newton, newton_root
 
 
 class ResidueMismatchError(ValueError):
@@ -86,35 +86,23 @@ def hensel_t_of_z(model, place_poly, depth):
     Newton in the z-adic sense; the residue root must be simple (automatic
     for an irreducible place).
     """
-    tower = model.tower
+    tower, prec = model.tower, depth + 1
     coeffs = _embed_place_coeffs(tower, model.q, place_poly)
     if model.theta.series.prec is not None and model.theta.series.prec < 1:
         raise HenselFailureError("theta has no determined residue")
     theta_res = model.theta.series.terms.get(0, tower.residue.zero)
-    t_cur = CoeffSeries.constant(tower, tower.from_residue(theta_res), depth + 1)
-    z_var = CoeffSeries.variable(tower, depth + 1)
-    dcoeffs = [c.scale_residue_int(j) for j, c in enumerate(coeffs)][1:]
-
-    def ev(cs, x):
-        acc = CoeffSeries.zero(tower, depth + 1)
-        for c in reversed(cs):
-            acc = (acc * x).truncate(depth + 1) + CoeffSeries.constant(
-                tower, c, depth + 1
-            )
-        return acc
-
-    fx = ev(coeffs, t_cur) - z_var
-    dfx = ev(dcoeffs, t_cur)
-    d0 = dfx.terms.get(0)
+    t_cur = CoeffSeries.constant(tower, tower.from_residue(theta_res), prec)
+    z_var = CoeffSeries.variable(tower, prec)
+    poly = CoeffSeries(tower, dict(enumerate(coeffs)))
+    dpoly = CoeffSeries(tower, {j - 1: c.scale_residue_int(j)
+                                for j, c in enumerate(coeffs) if j})
+    d0 = poly_at_series(dpoly, t_cur, prec, tower).terms.get(0)
     if d0 is None or not d0.series.terms or d0.ord() != 0:
         raise HenselFailureError("place root is not simple; Hensel cannot start")
-    for _ in range(depth + 3):
-        if fx.is_zero_within_precision():
-            return t_cur
-        t_cur = (t_cur - fx * dfx.inv(depth + 1)).truncate(depth + 1)
-        fx = ev(coeffs, t_cur) - z_var
-        dfx = ev(dcoeffs, t_cur)
-    raise HenselFailureError("z-adic Newton did not converge")
+    return _newton(
+        t_cur, lambda t: poly_at_series(poly, t, prec, tower) - z_var,
+        lambda t, fx: fx * poly_at_series(dpoly, t, prec, tower).inv(prec), prec,
+        HenselFailureError("z-adic Newton did not converge"))
 
 
 def _sigma_twist_poly(poly, q, n=1):

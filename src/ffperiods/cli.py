@@ -86,10 +86,11 @@ def _read_input(path, what):
 
 
 def _int(x, what):
-    try:
-        return int(x)
-    except (TypeError, ValueError):
+    """A JSON integer: a bool, a number with a fraction or exponent (1.9,
+    1e400) or a string is refused, not rounded or converted."""
+    if isinstance(x, bool) or not isinstance(x, int):
         raise InputError("%s must be an integer, got %r" % (what, x))
+    return x
 
 
 def _frac(s):
@@ -190,11 +191,15 @@ def _parse_embedding(raw, cm):
 def _load_component(c):
     pairwise = None
     if c.get("pairwise") is not None:
-        pairwise = tuple((int(a), int(b), _frac(v)) for a, b, v in c["pairwise"])
+        pairwise = tuple((_int(a, "pairwise index"), _int(b, "pairwise index"), _frac(v))
+                         for a, b, v in c["pairwise"])
+    tame = c.get("tame", True)
+    if not isinstance(tame, bool):
+        raise InputError("tame must be true or false, got %r" % (tame,))
     return CMComponent(
-        f=int(c["f"]),
-        e=int(c["e"]),
-        tame=bool(c.get("tame", True)),
+        f=_int(c["f"], "f"),
+        e=_int(c["e"], "e"),
+        tame=tame,
         diff_valuation=(
             _frac(c["diff_valuation"]) if c.get("diff_valuation") is not None
             else None
@@ -207,8 +212,11 @@ def _load_cm(path):
     data = _read_input(path, "cm file")
     if "q_v" not in data or not _is_prime_power(data["q_v"]):
         raise InputError("cm file needs a prime-power q_v")
+    comps = data.get("components", [])
+    if not isinstance(comps, list) or not all(isinstance(c, dict) for c in comps):
+        raise InputError("cm file components must be a list of objects")
     try:
-        comps = [_load_component(c) for c in data.get("components", [])]
+        comps = [_load_component(c) for c in comps]
         # CMAlgebra checks the tame conditions e | q_v^f - 1 and p !| e
         cm = CMAlgebra(data["q_v"], comps)
     except (KeyError, TypeError, ValueError) as exc:
@@ -268,7 +276,8 @@ def _load_galois(path):
     mode = data.get("mode")
     if mode == "tame":
         try:
-            return LocalGaloisDatum.tame(data["q_v"], int(data["f"]), int(data["e"])), data
+            f, e = _int(data["f"], "f"), _int(data["e"], "e")
+            return LocalGaloisDatum.tame(data["q_v"], f, e), data
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError("bad tame datum: %s" % exc)
     if mode == "table":
@@ -378,8 +387,8 @@ def cmd_regularize(args):
     needs = ("x",) if character == "trivial" else ("x", "z_v_at_1")
     for row in rows:
         try:
-            deg = int(row["degree"])
-        except (KeyError, TypeError, ValueError):
+            deg = _int(row["degree"], "degree")
+        except (KeyError, TypeError, InputError):
             raise InputError("explicit rows need an integer degree, got %r" % (row,))
         if deg < 1 or any(key not in row for key in needs):
             raise InputError("explicit rows need a degree >= 1 and %s, got %r"

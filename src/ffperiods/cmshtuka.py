@@ -199,7 +199,7 @@ def component_tower(cm, i, bound=None, units=2):
     if not c.tame:
         raise WildComponentError("explicit towers exist only for tame components")
     tower = LocalFieldTower.tame(cm.q_v, c.f, c.e, bound=bound, units=units)
-    return tower, tower.uniformizer(), _omega_or_one(tower, c.e)
+    return tower, tower.uniformizer(), tower.residue.root_of_unity(c.e)
 
 
 def component_uniformizer(tower, c):
@@ -215,11 +215,7 @@ def family_uniformizer(fam, cm, phi):
     c = cm.components[phi.i]
     if c.e == 1 or phi.k == 0:
         return fam.xi
-    return fam.xi.scale_coeff((_omega_or_one(fam.tower, c.e) ** phi.k).inv())
-
-
-def _omega_or_one(tower, e):
-    return tower.residue.root_of_unity(e) if e > 1 else tower.residue.one
+    return fam.xi.scale_coeff((fam.tower.residue.root_of_unity(c.e) ** phi.k).inv())
 
 
 def embedding_value(tower, cm, emb, pi):
@@ -228,7 +224,7 @@ def embedding_value(tower, cm, emb, pi):
     pi = tower.lift_from(pi)
     if c.e == 1 or emb.k == 0:
         return pi
-    omega = _omega_or_one(tower, c.e)
+    omega = tower.residue.root_of_unity(c.e)
     return pi.scale_coeff(omega ** emb.k)
 
 

@@ -322,9 +322,12 @@ class FqField:
         return self._mul_gen
 
     def root_of_unity(self, m):
-        """A canonical generator of mu_m, requires m | q - 1."""
+        """A canonical generator of mu_m, requires m | q - 1; mu_1's is one,
+        which needs no multiplicative generator."""
         if (self.q - 1) % m != 0:
             raise ValueError("mu_%d not contained in %r" % (m, self))
+        if m == 1:
+            return self.one
         return self.multiplicative_generator() ** ((self.q - 1) // m)
 
     def embedding(self, target):

@@ -23,6 +23,7 @@ Fractions with denominator dividing the absolute ramification index.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from .fields import FqField, factor_prime_power
 from .series import TruncSeries, _powers_of
@@ -488,6 +489,22 @@ def _is_below(lower, upper):
 # root solvers
 
 
+def _newton(x, f, step, target, error):
+    """Newton's method from an approximate root x of F: x <- (x -
+    step(x, F(x))).truncate(target), where f(x) = F(x) and step returns the
+    correction F(x)/F'(x), until F(x) has no visible term.  ord F(x) is the
+    order of x's error: it must grow at every step, else `error` is raised."""
+    last = None
+    while True:
+        fx = f(x)
+        if fx.is_zero_within_precision():
+            return x
+        if last is not None and fx.ord() <= last:
+            raise error
+        last = fx.ord()
+        x = (x - step(x, fx)).truncate(target)
+
+
 def newton_root(tower, coeffs, residue_root):
     """Root of P(X) = sum coeffs[j] X^j lifted from a simple residue root, to
     the tower's precision.
@@ -504,26 +521,17 @@ def newton_root(tower, coeffs, residue_root):
             acc = acc * x + c
         return acc.truncate(target)
 
+    def step(x, fx):
+        dfx = ev(dcoeffs, x)
+        inv_target = target if dfx.series.prec is None else min(target, dfx.series.prec)
+        return fx * dfx.inv(inv_target)
+
     x = tower.from_residue(residue_root)
-    fx = ev(coeffs, x)
     dfx = ev(dcoeffs, x)
     if not dfx.series.terms or dfx.ord() != 0:
         raise TowerError("residue root is not simple; Newton cannot start")
-    stall = 0
-    while fx.series.terms:
-        inv_target = target
-        if dfx.series.prec is not None:
-            inv_target = min(inv_target, dfx.series.prec)
-        step = fx * dfx.inv(inv_target)
-        new_x = (x - step).truncate(target)
-        if new_x.series.terms == x.series.terms:
-            stall += 1
-            if stall > 2:
-                raise NonConvergenceError("Newton iteration stalled")
-        x = new_x
-        fx = ev(coeffs, x)
-        dfx = ev(dcoeffs, x)
-    return x
+    return _newton(x, lambda x: ev(coeffs, x), step, target,
+                   NonConvergenceError("Newton iteration stalled"))
 
 
 def unit_nth_root(tower, elem, n):
@@ -552,36 +560,23 @@ def unit_nth_root(tower, elem, n):
 
 
 def unit_nth_root_with_extension(tower, unit, n):
-    """(tower', x) with x^n = unit: the residue field is extended unramified
-    (once, by the minimal degree) when it carries no n-th root of the leading
-    coefficient."""
-    res = tower.residue
-    lead = unit.leading_coeff()
+    """(tower', x) with x^n = unit: the residue field F_Q is extended
+    unramified (once, by the minimal degree t) when it carries no n-th root
+    of the leading coefficient c.
+
+    F_(Q^t) holds one when c^((Q^t - 1)/gcd(n, Q^t - 1)) = 1, which is read
+    in F_Q itself; t never exceeds the order of Q mod n(Q - 1).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    q, lead = tower.residue.q, unit.leading_coeff()
     t = 1
-    while t <= 4 * n:
-        order = res.q ** t - 1
-        g = _gcd(n, order)
-        if t == 1:
-            ok = lead ** (order // g) == res.one
-        else:
-            big = FqField(res.p, res.k * t)
-            emb = res.embedding(big)
-            ok = emb(lead) ** (order // g) == big.one
-        if ok:
-            break
+    while lead ** ((q ** t - 1) // gcd(n, q ** t - 1)) != tower.residue.one:
         t += 1
-    else:
-        raise UnsupportedKummerError("no residue field hosts an %d-th root" % n)
     if t > 1:
         tower = tower.extend_unramified(t)
         unit = tower.lift_from(unit)
     return tower, unit_nth_root(tower, unit, n)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def solve_kummer(tower, m, a, name=None):
@@ -694,19 +689,12 @@ def solve_additive_twist(tower, rhs, q_tilde):
                 raise NonConvergenceError("no residue solution of g - g^qt = rhs")
     if rhs.series.prec is not None:
         target = min(target, rhs.series.prec)
-    g = tower.from_residue(g0).truncate(target)
-    # f(g) = g - g^qt - rhs satisfies f(g - d) = f(g) - d + d^qt: take d = f(g),
-    # whose order multiplies by qt every round
-    last = None
-    for _ in range(200):
-        fg = (g - g.pow(qt) - rhs).truncate(target)
-        if not fg.series.terms:
-            return tower, g
-        if last is not None and fg.ord() <= last:
-            raise NonConvergenceError("additive-twist solve failed to gain valuation")
-        last = fg.ord()
-        g = (g - fg).truncate(target)
-    raise NonConvergenceError("additive-twist solve stalled")
+    # f(g) = g - g^qt - rhs satisfies f(g - d) = f(g) - d + d^qt: F' = 1, so the
+    # correction is f(g) itself, whose order multiplies by qt every round
+    return tower, _newton(
+        tower.from_residue(g0).truncate(target),
+        lambda g: (g - g.pow(qt) - rhs).truncate(target), lambda g, fg: fg, target,
+        NonConvergenceError("additive-twist solve failed to gain valuation"))
 
 
 def _residue_twist_root(res, lead, qt):
@@ -792,11 +780,11 @@ def tame_apply(tower, g, elem):
     elem = tower.lift_from(elem)
     res = tower.residue
     _, k0 = factor_prime_power(tower.q_v)
-    omega = res.root_of_unity(e) if e > 1 else res.one
+    omega = res.root_of_unity(e)
     t = {}
     for exp, c in elem.series.terms.items():
         nc = c.frobenius(k0 * g.a)
-        if e > 1 and (g.k * exp) % e:
+        if (g.k * exp) % e:
             nc = nc * omega ** ((g.k * exp) % e)
         t[exp] = nc
     return TowerElem(tower, TruncSeries(res, t, elem.series.prec))

@@ -164,6 +164,12 @@ def message_jobs():
         omega("q_v not a prime power", dict(TAME_CM, q_v=6)),
         omega("q_v a string", dict(TAME_CM, q_v="3")),
         omega("bad component", dict(TAME_CM, components=[{"f": 0, "e": 1}])),
+        omega("f not a JSON integer",
+              '{"schema": "1", "q_v": 3, "components": [{"f": 1e400, "e": 2}]}'),
+        omega("tame not a bool", dict(TAME_CM, components=[{"f": 1, "e": 2, "tame": "false"}])),
+        omega("pairwise index not an integer",
+              dict(TAME_CM, components=[{"f": 1, "e": 2, "pairwise": [[0, 1.9, "1/2"]]}])),
+        omega("components not a list of objects", dict(TAME_CM, components="ab")),
         omega("no components", dict(TAME_CM, components=[])),
         omega("cm_type not a map", dict(TAME_CM, cm_type=[])),
         omega("cm_type value not an integer", dict(TAME_CM, cm_type={"(0,0,0)": "a"})),
@@ -184,6 +190,7 @@ def message_jobs():
                "components": [{"f": 1, "e": 1, "tame": True}]}),
         zv("q_v not a prime power", dict(README_TAME, q_v=6)),
         zv("bad tame datum", dict(README_TAME, e=0)),
+        zv("f not a JSON integer", '{"schema": "1", "q_v": 2, "mode": "tame", "f": 1e400, "e": 3}'),
         zv("bad table datum", dict(README_TABLE, table={"id": README_TABLE["table"]["id"]})),
         zv("unknown mode", dict(README_TAME, mode="wild")),
         zv("class function without values", README_TAME, char={"schema": "1", "values": []}),

@@ -543,6 +543,45 @@ def test_omega_exit_code_contract(tmp_path_factory, call):
     assert cli._parser() is cli._parser()
 
 
+# wrong JSON types: out of range (1e400 reads as inf), NaN, a bool, a fraction,
+# null and strings, alone or in lists
+WRONG_ATOMS = [json.loads("1e400"), float("nan"), True, 1.9, None, "ab", "1"]
+WRONG_TYPE = st.one_of(st.sampled_from(WRONG_ATOMS),
+                       st.lists(st.sampled_from(WRONG_ATOMS + [[1, 2]]), max_size=2))
+CM_SLOTS = ["components", "component", "f", "e", "tame", "pairwise", "cm_type",
+            "cm_type value"]
+
+
+@st.composite
+def cm_payloads(draw):
+    """A well-formed cm.json with one slot given a wrong type, and the exit code
+    it must give: 0 where the value still means something (tame true; pairwise
+    null or an empty list, no table), else 2."""
+    comp = {"f": 1, "e": 2, "tame": True, "pairwise": [[0, 1, "1/2"]]}
+    payload = {"schema": "1", "q_v": 3, "components": [comp], "cm_type": {"(0,0,0)": 1}}
+    slot, value = draw(st.sampled_from(CM_SLOTS)), draw(WRONG_TYPE)
+    if slot == "component":
+        payload["components"] = [value]
+    elif slot == "cm_type value":
+        payload["cm_type"] = {"(0,0,0)": value}
+    else:
+        (comp if slot in comp else payload)[slot] = value
+    ok = (slot, value) == ("tame", True) or (slot == "pairwise" and value in (None, []))
+    return payload, 0 if ok else 2
+
+
+@given(call=cm_payloads())
+@settings(max_examples=80, deadline=None)
+def test_cm_json_fuzz_exit_code_contract(tmp_path_factory, call):
+    # JSON integers and bools only, and components a list of objects: anything
+    # else exits 2 with a message, never a traceback and never a rounded value
+    payload, expected = call
+    path = tmp_path_factory.getbasetemp() / "fuzz_cm.json"
+    path.write_text(json.dumps(payload))
+    check_exit_contract(["omega", "--cm", str(path), "--phi", "(0,0,0)", "--psi", "(0,0,1)",
+                         "--depth", "0"], expected, "agreement:        yes")
+
+
 
 def check_exit_contract(argv, expected, last_line, message="error: "):
     """One in-process call exits `expected`: 0 with stdout ending in a line that
@@ -678,9 +717,12 @@ def pole_or_zero_at_one(num, den):
 
 
 REG_FLAWS = [{"q": 6}, {"q": 1}, {"q": "2"}, {"q": None}, {"genus": "a"}, {"genus": [0]},
+             {"genus": "2"}, {"genus": True}, {"genus": 1.9}, {"genus": json.loads("1e400")},
              {"explicit": 5}, {"explicit": "ab"}, {"explicit": {"degree": 1, "x": "1"}},
              {"explicit": [{"degree": 0, "x": "1", "z_v_at_1": "1"}]},
              {"explicit": [{"degree": "a", "x": "1", "z_v_at_1": "1"}]},
+             {"explicit": [{"degree": 1.9, "x": "1", "z_v_at_1": "1"}]},
+             {"explicit": [{"degree": json.loads("1e400"), "x": "1", "z_v_at_1": "1"}]},
              {"explicit": [{"x": "1", "z_v_at_1": "1"}]},
              {"explicit": [{"degree": 1, "z_v_at_1": "1"}]},
              {"explicit": [{"degree": 1, "x": "1/0", "z_v_at_1": "1"}]},
@@ -702,7 +744,7 @@ def regularize_configs(draw):
     row = st.fixed_dictionaries({"label": st.just("t"), "degree": st.integers(1, 3),
                                  "x": RATIONAL, "z_v_at_1": RATIONAL})
     config = {"schema": "1", "q": draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9])),
-              "genus": draw(st.sampled_from([0, 1, 2, "2"])),
+              "genus": draw(st.sampled_from([0, 1, 2])),
               "explicit": draw(st.lists(row, max_size=3))}
     for key in ("genus", "explicit"):
         if draw(st.booleans()):

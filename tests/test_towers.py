@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -33,6 +34,7 @@ from ffperiods.towers import (
     tame_apply,
     tame_group,
     newton_root,
+    unit_nth_root_with_extension,
 )
 from test_acceptance import TAME_GRID
 
@@ -400,6 +402,61 @@ def test_newton_root_simple():
     a = t.one() + t.uniformizer()
     root = newton_root(t, [-a, t.zero(), t.one()], t.residue.one)
     assert ((root * root) - a).is_zero_within_precision()
+
+
+def test_newton_raises_when_the_error_does_not_shrink():
+    # a correction that leaves x where it is: the second F(x) has the order of
+    # the first, and the loop raises right there
+    t = LocalFieldTower.base(3, prec=10)
+    z = t.uniformizer()
+    seen = []
+
+    def f(x):
+        seen.append(x)
+        return x - z
+
+    with pytest.raises(NonConvergenceError, match="no progress"):
+        towers._newton(t.zero(), f, lambda x, fx: t.zero(), 10,
+                       NonConvergenceError("no progress"))
+    assert len(seen) == 2
+    # the true correction F(x)/F'(x) = F(x) reaches the root z in one step
+    root = towers._newton(t.zero(), f, lambda x, fx: fx, 10, NonConvergenceError("no progress"))
+    assert root.series.terms == z.series.terms
+
+
+def field_walk_root_degree(res, lead, n, limit=4096):
+    """The least t such that F_(Q^t), Q = |res|, holds an n-th root of lead,
+    found as unit_nth_root_with_extension once did: each candidate field is
+    built and lead is embedded into it.  None when Q^t would pass `limit`."""
+    t = 1
+    while res.q ** t <= limit:
+        order = res.q ** t - 1
+        if t == 1:
+            big, emb = res, lead
+        else:
+            big = FqField(res.p, res.k * t)
+            emb = res.embedding(big)(lead)
+        if emb ** (order // gcd(n, order)) == big.one:
+            return t
+        t += 1
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_unit_root_extension_degree_matches_the_field_walk(q):
+    # the degree is read in F_q itself; an embedding is injective, so it is
+    # the degree that building each larger field and embedding c into it gave
+    base = LocalFieldTower.base(q, prec=8)
+    res = base.residue
+    for c in res.elements():
+        for n in range(1, 9):
+            t = None if c.is_zero() or n % res.p == 0 else field_walk_root_degree(res, c, n)
+            if t is None:
+                continue
+            unit = base.from_residue(c) + base.uniformizer()
+            tower, x = unit_nth_root_with_extension(base, unit, n)
+            assert tower.residue.q == q ** t, (c, n)
+            assert (x.pow(n) - tower.lift(unit)).is_zero_within_precision()
 
 
 def test_additive_twist_solver():
