@@ -94,7 +94,7 @@ def _int(x, what):
 
 
 def _frac(s):
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         num, den = s.split("/", 1) if "/" in s else (s, "1")

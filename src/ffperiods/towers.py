@@ -18,8 +18,10 @@ the new one by Newton's method on the defining equation; the error of the
 iterate must grow at every step (it doubles), otherwise the step data was
 not Eisenstein and we refuse to continue.  Each level memoizes the
 substitutions its lifts make, seeded by the last Newton step, so a lift from
-far below costs one new substitution per level.  All valuations are exact
-Fractions with denominator dividing the absolute ramification index.
+far below costs one new substitution per level.  The root solvers lift a
+simple residue root through one Newton loop, `_newton`, under the same rule:
+ord F(x) must grow at every step.  All valuations are exact Fractions with
+denominator dividing the absolute ramification index.
 """
 
 from fractions import Fraction

@@ -482,6 +482,8 @@ USER_REG = {"schema": "1", "q": 2, "genus": 0, "character": "user",
     ("regularize", {"--config": dict(USER_REG, explicit=[{"degree": 1, "x": "1"}])}),
     ("regularize", {"--config": {"schema": "1", "q": 2, "explicit": [{"degree": 0, "x": "1"}]}}),
     ("regularize", {"--config": dict(USER_REG, l_infty=[])}),
+    ("zv", {"--galois": TAME_GALOIS,
+            "--char-file": {"schema": "1", "values": {"(0,0)": True, "(0,1)": 1}}}),
 ])
 def test_malformed_input_files_exit_2(capsys, tmp_path, command, files):
     argv = [command]
@@ -601,7 +603,7 @@ def check_exit_contract(argv, expected, last_line, message="error: "):
 
 RATIONAL = st.one_of(st.integers(-3, 3),
                      st.builds("{}/{}".format, st.integers(-5, 5), st.integers(1, 4)))
-BAD_RATIONAL = st.sampled_from(["1/0", "a", [1], 0.5, None])
+BAD_RATIONAL = st.sampled_from(["1/0", "a", [1], 0.5, None, True])
 # (j, k): small enough to be in range half of the time, else anywhere near it
 PAIR = st.one_of(st.tuples(st.integers(0, 1), st.integers(0, 1)),
                  st.tuples(st.integers(-3, 8), st.integers(-3, 8)))
