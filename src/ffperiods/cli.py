@@ -23,6 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from .carlitz import CrossCheckError, carlitz_product_formula, report_as_dict
 from .cmshtuka import (
@@ -105,13 +106,17 @@ def _frac(s):
     raise InputError("rationals must be integers or 'num/den' strings: %r" % (s,))
 
 
+def _too_long():
+    return ResourceLimitError("a rational has more than %d digits"
+                              % sys.get_int_max_str_digits())
+
+
 def _frac_str(f):
     f = Fraction(f)
     try:
         return "%d/%d" % (f.numerator, f.denominator)
     except ValueError:  # longer than sys.get_int_max_str_digits() allows
-        raise ResourceLimitError("a rational has more than %d digits"
-                                 % sys.get_int_max_str_digits())
+        raise _too_long()
 
 
 def _log_q_str(v):
@@ -174,12 +179,19 @@ def cmd_carlitz(args):
 # -- omega --------------------------------------------------------------------
 
 
-def _parse_embedding(raw, cm):
+def _int_tuple(raw, n, form):
+    """The n integers of `raw`, written '(a,b,...)'; else InputError(form)."""
     try:
-        parts = raw.strip().lstrip("(").rstrip(")").split(",")
-        i, j, k = (int(x) for x in parts)
-    except Exception:
-        raise InputError("embeddings are written '(i,j,k)', got %r" % raw)
+        parts = [int(x) for x in raw.strip().lstrip("(").rstrip(")").split(",")]
+    except ValueError:
+        parts = None
+    if parts is None or len(parts) != n:
+        raise InputError("%s, got %r" % (form, raw))
+    return parts
+
+
+def _parse_embedding(raw, cm):
+    i, j, k = _int_tuple(raw, 3, "embeddings are written '(i,j,k)'")
     if not 0 <= i < len(cm.components):
         raise InputError("component %d does not exist" % i)
     c = cm.components[i]
@@ -344,11 +356,7 @@ def cmd_zv(args):
 def _parse_tame_pair(raw, f, e):
     if raw is None:
         raise InputError("pair characters need --phi and --psi")
-    try:
-        parts = raw.strip().lstrip("(").rstrip(")").split(",")
-        j, k = (int(x) for x in parts)
-    except Exception:
-        raise InputError("tame embeddings are written '(j,k)', got %r" % raw)
+    j, k = _int_tuple(raw, 2, "tame embeddings are written '(j,k)'")
     if not (0 <= j < f and 0 <= k < e):
         raise InputError("embedding %r out of range for f = %d, e = %d" % (raw, f, e))
     return TameEmbedding(j, k, f, e)
@@ -381,7 +389,7 @@ def cmd_regularize(args):
             raise InputError("l_infty needs num and den coefficient lists")
         a_identity = _frac(data.get("a_identity", 1))
         mu_infty = LogQValue(_frac(data.get("mu_infty", 0)))
-    explicit, rows = [], data.get("explicit", [])
+    parsed, rows = [], data.get("explicit", [])
     if not isinstance(rows, list):
         raise InputError("explicit must be a list of rows, got %r" % (rows,))
     needs = ("x",) if character == "trivial" else ("x", "z_v_at_1")
@@ -393,11 +401,12 @@ def cmd_regularize(args):
         if deg < 1 or any(key not in row for key in needs):
             raise InputError("explicit rows need a degree >= 1 and %s, got %r"
                              % (" and ".join(needs), row))
-        zv1 = Fraction(1, q ** deg - 1) if character == "trivial" else _frac(row["z_v_at_1"])
-        explicit.append(
-            ExplicitPlaceTerm(str(row.get("label", "?")), deg,
-                              LogQValue(_frac(row["x"])), zv1)
-        )
+        zv1 = None if character == "trivial" else _frac(row["z_v_at_1"])
+        parsed.append((str(row.get("label", "?")), deg, _frac(row["x"]), zv1))
+    _check_row_digits(q, parsed if character == "trivial" else [])
+    explicit = [ExplicitPlaceTerm(label, deg, LogQValue(x),
+                                  Fraction(1, q ** deg - 1) if zv1 is None else zv1)
+                for label, deg, x, zv1 in parsed]
     try:
         value = regularized_sum(l_infty, q, mu_infty, genus, a_identity, explicit)
         z0 = z_infty_at(l_infty, q, 0)
@@ -413,6 +422,23 @@ def cmd_regularize(args):
               "value: %s" % _log_q_str(value)]
     print("\n".join(ledger))  # all or nothing: a line may hit the digit limit
     return EXIT_OK
+
+
+def _check_row_digits(q, rows):
+    """Refuse trivial-character rows (label, degree, x, _) that cannot print,
+    before q^degree is built.  The k rows of top degree D add kD/(q^D - 1); the
+    rest shares with q^D - 1 at most each x's denominator and q^gcd(D, d) - 1.
+    That bounds the sum's denominator below, in bits, through 2^(b-1) <= q^64
+    < 2^b.  Nearer the print limit, _frac_str decides."""
+    limit = sys.get_int_max_str_digits()
+    if not limit or not rows:
+        return
+    top, b = max(deg for _, deg, _, _ in rows), (q ** 64).bit_length()
+    k = sum(deg == top for _, deg, _, _ in rows)
+    rest = sum((b * -(-gcd(top, deg) // 64) if deg < top else 0) + x.denominator.bit_length()
+               for _, deg, x, _ in rows)
+    if (b - 1) * (top // 64) - 1 - (k * top).bit_length() - rest >= (10 ** limit).bit_length():
+        raise _too_long()
 
 
 # -- driver ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ expansion is built on first access for internal consistency checks.
 
 from fractions import Fraction
 from functools import cached_property
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .coeffseries import CoeffSeries, poly_at_series, reversion
 from .fields import factor_prime_power
@@ -42,6 +42,7 @@ from .towers import (
     TowerBoundError,
     TowerElem,
     TowerError,
+    degree_str,
     solve_additive_twist,
     solve_frobenius_recursion,
     unit_nth_root_with_extension,
@@ -312,8 +313,8 @@ def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND):
     qt = cm.q_tilde(i)
     base = c.f * c.e * max(qt - 1, 1)
     if base > bound:
-        raise TowerBoundError("even depth 0 needs tower degree %d, above the bound %d"
-                              % (base, bound))
+        raise TowerBoundError("even depth 0 needs tower degree %s, above the bound %d"
+                              % (degree_str(base), bound))
     n = 0
     while n < MAX_RECURSION_DEPTH and base * qt ** (n + 1) <= bound:
         n += 1
@@ -593,9 +594,8 @@ def tau_invariant_unit_part(shtuka, depth):
             series = shtuka.eps_series(i, j)
             if series is not None:
                 # the twist coefficients must embed into the residue field
-                rel = series.field.k // gcd(series.field.k, base_k)
-                need_f = need_f * rel // gcd(need_f, rel)
-        tower = tower.extend_unramified(_relative_unramified_degree(tower, need_f))
+                need_f = lcm(need_f, series.field.k // gcd(series.field.k, base_k))
+        tower = tower.extend_unramified(lcm(tower.f_abs, need_f) // tower.f_abs)
         qt = cm.q_tilde(i)
         eps_total = CoeffSeries.one(tower, depth + 1)
         for step in range(c.f):
@@ -647,12 +647,6 @@ def tau_invariant_unit_part(shtuka, depth):
             if not (lhs - rhs).is_zero_within_precision():
                 raise TowerError("unit-part solution fails c = tau_0 sigma(c)")
     return {"tower": tower, "c": out}
-
-
-def _relative_unramified_degree(tower, f):
-    cur = tower.f_abs
-    l = cur * f // gcd(cur, f)
-    return l // cur
 
 
 def _lift_eps(tower, series, prec):
@@ -713,11 +707,8 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
     tower, pi0, _ = component_tower(cm, i, bound=bound)
     if unit_data is not None:
         # host the unramified unit invariants alongside the ramified tower
-        need = unit_data["tower"].f_abs
-        rel = need * tower.f_abs // gcd(need, tower.f_abs) // tower.f_abs
-        if rel > 1:
-            tower = tower.extend_unramified(rel)
-            pi0 = tower.lift_from(pi0)
+        tower = tower.extend_unramified(lcm(unit_data["tower"].f_abs, tower.f_abs) // tower.f_abs)
+        pi0 = tower.lift_from(pi0)
     current = tower
     fams = []
     for phi in support:

@@ -43,6 +43,13 @@ class TowerBoundError(TowerError):
     pass
 
 
+def degree_str(n):
+    try:
+        return "%d" % n
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        return ">= 2^%d" % (n.bit_length() - 1)
+
+
 class NonConvergenceError(TowerError):
     pass
 
@@ -98,9 +105,8 @@ class LocalFieldTower:
 
     def _check_bound(self, factor):
         if self.bound is not None and self.degree() * factor > self.bound:
-            raise TowerBoundError(
-                "tower degree %d exceeds bound %d" % (self.degree() * factor, self.bound)
-            )
+            raise TowerBoundError("tower degree %s exceeds bound %d"
+                                  % (degree_str(self.degree() * factor), self.bound))
 
     def extend_unramified(self, f):
         if f < 1:
@@ -312,13 +318,10 @@ class LocalFieldTower:
         return self.lift(eis[level].uniformizer(), prec)
 
     def depth_levels(self):
-        out = []
-        t = self
-        while t is not None:
-            out.append(t)
-            t = t.previous
-        out.reverse()
-        return out
+        out = [self]
+        while out[-1].previous is not None:
+            out.append(out[-1].previous)
+        return out[::-1]
 
     # -- invariants ------------------------------------------------------------
 
@@ -355,25 +358,21 @@ class LocalFieldTower:
         for t in self.depth_levels():
             if t.step is None:
                 continue
+            if seen_eis:  # no step may follow the Kummer step
+                return None
             if t.step[0] == "unramified":
-                if seen_eis:
-                    return None
                 f *= t.step[1]
-            else:
-                if seen_eis:
-                    return None
-                seen_eis = True
-                coeffs, m = t.step[1], t.step[2]
-                if any(c.series.terms for j, c in coeffs.items() if j):
-                    return None
-                a0 = coeffs[0].series
-                if a0.prec is not None or set(a0.terms) != {1}:
-                    return None
-                e = m
-                unit = -a0.terms[1]
-        if e > 1 and (self.q_v ** f - 1) % e != 0:
-            return None
-        if e % self.residue.p == 0:
+                continue
+            seen_eis = True
+            coeffs, m = t.step[1], t.step[2]
+            if any(c.series.terms for j, c in coeffs.items() if j):
+                return None
+            a0 = coeffs[0].series
+            if a0.prec is not None or set(a0.terms) != {1}:
+                return None
+            e = m
+            unit = -a0.terms[1]
+        if (e > 1 and (self.q_v ** f - 1) % e != 0) or e % self.residue.p == 0:
             return None
         return (f, e, unit)
 
@@ -479,12 +478,9 @@ class TowerElem:
 
 
 def _is_below(lower, upper):
-    t = upper
-    while t is not None:
-        if t is lower:
-            return True
-        t = t.previous
-    return False
+    while upper is not None and upper is not lower:
+        upper = upper.previous
+    return upper is lower
 
 
 # ---------------------------------------------------------------------------
@@ -617,56 +613,42 @@ def solve_frobenius_recursion(tower, xi, q_tilde, depth):
 
     Returns (tower', [l_0..l_depth], xi), all in the final tower; raises TowerError
     where the valuation law v(l_n) = v(xi) qt^(-n) / (qt-1) fails.
+
+    Level n lifts only xi; l_n is its uniformizer.  At the top, l_(depth-1) is
+    lifted once, and each older l_j is l_(j+1)^qt + xi l_(j+1): known, as a
+    lift is, to the top precision, since xi and l_(j+1) are.
     """
-    q_v = tower.q_v
-    qt = q_tilde
-    f = 0
-    while q_v ** f < qt:
-        f += 1
-    if q_v ** f != qt:
+    qt, power = q_tilde, 1
+    while power < qt:
+        power *= tower.q_v
+    if power != qt:
         raise ValueError("q_tilde must be a power of q_v")
     xi = tower.lift_from(xi)
     v_xi = xi.valuation()
     if v_xi <= 0:
         raise ValueError("xi must have positive valuation")
-    tower, ell0 = solve_kummer(tower, qt - 1, -xi)
-    if ell0.valuation() != v_xi / (qt - 1):
+    tower, ell = solve_kummer(tower, qt - 1, -xi)
+    if ell.valuation() != v_xi / (qt - 1):
         raise TowerError("l_0 breaks the valuation law v(l_0) = v(xi)/(qt-1)")
-    ells = [ell0]
     xi = tower.lift(xi)
     for n in range(1, depth + 1):
-        tower = tower.extend_eisenstein({0: -ells[-1], 1: xi}, degree=qt)
+        below = ell  # l_(n-1), in the level below
+        tower = tower.extend_eisenstein({0: -ell, 1: xi}, degree=qt)
         xi = tower.lift(xi)  # the converged re-expansion memoized this substitution
-        ells = _lift_ells(tower, ells, xi, qt)
-        ell_n = tower.uniformizer()
-        if ell_n.valuation() != v_xi * Fraction(1, qt ** n * (qt - 1)):
+        ell = tower.uniformizer()
+        if ell.valuation() != v_xi * Fraction(1, qt ** n * (qt - 1)):
             raise TowerError("l_%d breaks the valuation law v(l_n) = v(xi) qt^-n/(qt-1)" % n)
-        ells.append(ell_n)
-    return tower, ells, xi
-
-
-def _lift_ells(tower, ells, xi, qt):
-    """l_0..l_(n-1) lifted into `tower`, whose step is X^qt + xi X - l_(n-1).
-
-    Only l_(n-1) is substituted (for n >= 2 it is the previous uniformizer, so
-    the lift is the cached re-expansion); each older l_j is l_(j+1)^qt + xi
-    l_(j+1), truncated where a substitution would truncate it.
-
-    The relation keeps that precision: xi and l_(n-1) are known to the
-    tower's prec, and by induction l_(j+1) to qt times l_(j+1)'s old prec, so
-    the qt-th power and the product with xi are known at least as far as
-    qt times l_j's old prec, the same bound scaled from the older level.
-    """
-    out = [tower.lift(ells[-1])]
-    for old in reversed(ells[:-1]):
-        target = tower.prec if old.series.prec is None else min(tower.prec, old.series.prec * qt)
-        nxt = out[-1]
-        ell = (nxt.pow(qt) + xi * nxt).truncate(target)
-        if ell.series.prec is not None and ell.series.prec < target:
+    ells = [ell]
+    if depth:
+        ells.append(tower.lift(below))
+    while len(ells) <= depth:
+        nxt = ells[-1]
+        ell = (nxt.pow(qt) + xi * nxt).truncate(tower.prec)
+        if ell.series.prec < tower.prec:
             raise TowerError("l_j lost precision in the recursion relation")
-        out.append(ell)
-    out.reverse()
-    return out
+        ells.append(ell)
+    ells.reverse()
+    return tower, ells, xi
 
 
 def solve_additive_twist(tower, rhs, q_tilde):

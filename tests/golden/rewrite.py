@@ -185,6 +185,8 @@ def message_jobs():
         omega("FFP_TOWER_BOUND below 1", TAME_CM, env={"FFP_TOWER_BOUND": "-5"}),
         omega("tower above the cap", TAME_CM, psi="(0,0,1)", extra=["--depth", "40"]),
         omega("cap below depth 0", TAME_CM, env={"FFP_TOWER_BOUND": "1"}),
+        omega("tower degree too long to print",
+              {"schema": "1", "q_v": 2, "components": [{"f": 20000, "e": 1}]}),
         omega("twelve-digit prime q_v",
               {"schema": "1", "q_v": 999999999989,
                "components": [{"f": 1, "e": 1, "tame": True}]}),
@@ -220,6 +222,8 @@ def message_jobs():
                    dict(USER_REG, explicit=[{"degree": 1, "x": "1"}])),
         regularize("rational too long to print",
                    dict(README_REG, explicit=[{"label": "t", "degree": 20000, "x": "1"}])),
+        regularize("row degree too large to build",
+                   dict(README_REG, q=3, explicit=[{"label": "t", "degree": 10 ** 8, "x": "1"}])),
         regularize("pole at s = 0 (exit 1)",
                    dict(USER_REG, l_infty={"num": ["1"], "den": ["1", "-1"]})),
     ]

@@ -383,6 +383,42 @@ def test_tower_bound_error_is_a_resource_limit(capsys, tmp_path):
     assert err.startswith("resource limit:") and "FFP_TOWER_BOUND" in err
 
 
+def test_tower_degree_too_long_to_print_is_a_resource_limit(capsys, tmp_path):
+    # f = 20000 over F_2 needs a tower degree of more than 6000 digits, more
+    # than an int may print: it is named as a power of two, not a traceback
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 2, "components": [{"f": 20000, "e": 1}]})
+    code, out, err = run(capsys, "omega", "--cm", path, "--phi", "(0,0,0)", "--psi", "(0,0,0)")
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: even depth 0 needs tower degree >= 2^20014, above the "
+                   "bound 64 (FFP_TOWER_BOUND sets the cap)\n")
+
+
+def test_regularize_huge_row_degree_exits_at_once(tmp_path):
+    # q^degree is never built: rows of degree 10^8 or 10^9 exit 2 at once, at
+    # odd q too, and next to a row of a coprime degree (in a subprocess, so
+    # that a build of q^degree times out)
+    configs = []
+    for n, (q, degrees) in enumerate([(3, [10 ** 8]), (7, [10 ** 9]), (2, [10 ** 9]),
+                                      (3, [10 ** 8, 10 ** 8 - 1])]):
+        path = tmp_path / ("reg%d.json" % n)
+        path.write_text(json.dumps({"schema": "1", "q": q, "explicit": [
+            {"degree": degree, "x": "1/3"} for degree in degrees]}))
+        configs.append(str(path))
+    script = (
+        "import sys\n"
+        "from ffperiods.cli import main\n"
+        "sys.exit(max(main(['regularize', '--config', p]) for p in sys.argv[1:]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(ffperiods.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script] + configs, env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    limit = sys.get_int_max_str_digits()
+    assert proc.stderr == "resource limit: a rational has more than %d digits\n" % limit * 4
+
+
 @pytest.mark.parametrize("command", ["omega"])
 def test_tower_bound_env_below_one(capsys, tmp_path, monkeypatch, command):
     monkeypatch.setenv("FFP_TOWER_BOUND", "-5")

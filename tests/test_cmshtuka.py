@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffperiods import cmshtuka, towers
+from ffperiods import cmshtuka
 from ffperiods.cmshtuka import (
     CANONICAL,
     PRECISION_UNITS,
@@ -683,29 +683,20 @@ def _grid_families():
             yield cm, phi, depth
 
 
-def test_recursion_reads_older_ells_off_the_relation(monkeypatch):
-    # l_j = l_(j+1)^qt + xi l_(j+1) must be the substitution lift of the old
-    # l_j, term by term and to the same precision, and only l_(n-1) is lifted
-    lift_ells, lift = towers._lift_ells, LocalFieldTower.lift
-    older, lifts = [], []
-
-    def counted_lift(self, elem, prec=None):
-        lifts.append(elem)
-        return lift(self, elem, prec)
-
-    def compared(tower, ells, xi, qt):
-        lifts.clear()
-        out = lift_ells(tower, ells, xi, qt)
-        assert lifts == [ells[-1]]
-        for j, (got, old) in enumerate(zip(out, ells)):
-            assert got.series == tower.lift(old).series, (tower.name, j)
-        older.extend(out[:-1])
-        return out
-
-    monkeypatch.setattr(towers, "_lift_ells", compared)
-    monkeypatch.setattr(LocalFieldTower, "lift", counted_lift)
+def test_recursion_reads_older_ells_off_the_relation():
+    # each l_j read off l_j = l_(j+1)^qt + xi l_(j+1) at the top is the top
+    # tower's lift of l_j from its own level, term by term and to the same
+    # precision; level j + 1 holds -l_j as the constant of X^qt + xi X - l_j
+    older = 0
     for cm, phi, depth in _grid_families():
-        omega_period(cm, phi, phi, depth=depth)
+        for units in PRECISION_UNITS:
+            fam = recursion_family(cm, phi, depth, units=units)
+            levels = fam.tower.depth_levels()
+            for j, level in enumerate(levels[len(levels) - depth:]):
+                own = -level.step[1][0]
+                assert own.tower is level.previous
+                assert fam.ells[j].series == fam.tower.lift(own).series, (cm.q_v, phi, units, j)
+            older += max(depth - 1, 0)
     assert older  # the grid reaches depth 2 and beyond
 
 

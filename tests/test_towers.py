@@ -252,6 +252,41 @@ def test_frobenius_recursion_base_cases():
     assert ells2[1].valuation() == Fraction(1, 2)
 
 
+def test_recursion_lifts_xi_per_level_and_reads_each_older_ell_once(monkeypatch):
+    # one lift of xi per level (plus one onto l_0's tower), one lift of
+    # l_(d-1) to the top and d - 1 relation powers: 10 lifts and 7 powers at
+    # depth 8, where lifting every l_j at every level made 17 and 28
+    lifts, powers = [], []
+    lift, power = LocalFieldTower.lift, TowerElem.pow
+
+    def counted_lift(self, elem, prec=None):
+        lifts.append(elem)
+        return lift(self, elem, prec)
+
+    def counted_pow(self, n):
+        powers.append(n)
+        return power(self, n)
+
+    monkeypatch.setattr(LocalFieldTower, "lift", counted_lift)
+    monkeypatch.setattr(TowerElem, "pow", counted_pow)
+    t = LocalFieldTower.base(2)
+    tower, ells, _ = solve_frobenius_recursion(t, t.uniformizer(), 2, 8)
+    assert (len(lifts), powers) == (10, [2] * 7)
+    assert len(ells) == 9 and tower.degree() == 2 ** 8
+
+
+def test_recursion_l0_is_minus_xi_at_qt_2():
+    # at qt = 2, l_0 = -xi is no uniformizer: over F_4, xi = c z with c != 1
+    t = LocalFieldTower.base(2).extend_unramified(2)
+    c = next(a for a in t.residue.elements() if not a.is_zero() and a != t.residue.one)
+    xi = t.uniformizer().scale_coeff(c)
+    tower, ells, xi_top = solve_frobenius_recursion(t, xi, 2, 3)
+    assert ells[0].series == tower.lift(-xi).series
+    assert ells[0].series != tower.level_uniformizer(0).series
+    for n in range(1, 4):
+        assert (ells[n].pow(2) + xi_top * ells[n] - ells[n - 1]).is_zero_within_precision()
+
+
 def test_defining_polynomials_vanish_at_uniformizers():
     t = LocalFieldTower.base(3)
     tower, ells, xi = solve_frobenius_recursion(t, t.uniformizer(), 3, 2)
