@@ -14,8 +14,9 @@ irreducible p(t) of degree d the associated local shtuka is obtained by
 For the Carlitz motive at a degree-1 place the output is exactly z - zeta.
 """
 
-from .coeffseries import CoeffSeries, poly_at_series
+from .coeffseries import poly_at_series
 from .fields import PolyFq
+from .series import TruncSeries
 from .towers import LocalFieldTower, TowerError, _newton, newton_root
 
 
@@ -33,7 +34,7 @@ class AMotiveModel:
     def __init__(self, q, rank, tau_matrix, theta, tower):
         self.q = q
         self.rank = rank
-        self.tau = tau_matrix  # rank x rank nested lists of CoeffSeries in t
+        self.tau = tau_matrix  # rank x rank nested lists of TruncSeries in t
         self.theta = theta
         self.tower = tower
         if len(tau_matrix) != rank or any(len(row) != rank for row in tau_matrix):
@@ -47,7 +48,7 @@ def carlitz_model(q, place_poly):
     q_v = q ** d
     tower = LocalFieldTower.base(q_v, prec=4 * d + 28)
     theta, _ = _theta_root(tower, q, place_poly)
-    t_poly = CoeffSeries(tower, {0: -theta, 1: tower.one()})
+    t_poly = TruncSeries(tower, {0: -theta, 1: tower.one()})
     return AMotiveModel(q, 1, [[t_poly]], theta, tower)
 
 
@@ -91,10 +92,10 @@ def hensel_t_of_z(model, place_poly, depth):
     if model.theta.series.prec is not None and model.theta.series.prec < 1:
         raise HenselFailureError("theta has no determined residue")
     theta_res = model.theta.series.terms.get(0, tower.residue.zero)
-    t_cur = CoeffSeries.constant(tower, tower.from_residue(theta_res), prec)
-    z_var = CoeffSeries.variable(tower, prec)
-    poly = CoeffSeries(tower, dict(enumerate(coeffs)))
-    dpoly = CoeffSeries(tower, {j - 1: c.scale_residue_int(j)
+    t_cur = TruncSeries(tower, {0: tower.from_residue(theta_res)}, prec)
+    z_var = TruncSeries.monomial(tower, 1, prec=prec)
+    poly = TruncSeries(tower, dict(enumerate(coeffs)))
+    dpoly = TruncSeries(tower, {j - 1: c.scale_residue_int(j)
                                 for j, c in enumerate(coeffs) if j})
     d0 = poly_at_series(dpoly, t_cur, prec, tower).terms.get(0)
     if d0 is None or not d0.series.terms or d0.ord() != 0:
@@ -113,7 +114,7 @@ def _sigma_twist_poly(poly, q, n=1):
 def amotive_to_local_shtuka(model, place_poly, depth):
     """The local shtuka matrix at the place, over truncated R[[z]].
 
-    Returns a rank x rank nested list of CoeffSeries in z.
+    Returns a rank x rank nested list of TruncSeries in z.
     """
     if not place_poly.is_irreducible():
         raise ValueError("the place polynomial must be irreducible")
@@ -135,7 +136,7 @@ def amotive_to_local_shtuka(model, place_poly, depth):
             [
                 poly_at_series(entry, t_of_z, depth + 1, tower)
                 if entry.terms
-                else CoeffSeries.zero(tower, depth + 1)
+                else TruncSeries.zero(tower, depth + 1)
                 for entry in row
             ]
             for row in twisted
@@ -189,7 +190,7 @@ def z_series_hat_order(series, zeta):
     """
     tower = zeta.tower
     bound = series.prec if series.prec is not None else max(series.terms, default=0) + 1
-    shift = CoeffSeries(tower, {0: zeta, 1: tower.one()}, bound)
+    shift = TruncSeries(tower, {0: zeta, 1: tower.one()}, bound)
     around = poly_at_series(series, shift, bound, tower)
     zeta_ord = zeta.ord()
     for m in range(bound):

@@ -23,7 +23,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 from .carlitz import CrossCheckError, carlitz_product_formula, report_as_dict
 from .cmshtuka import (
@@ -426,18 +425,25 @@ def cmd_regularize(args):
 
 def _check_row_digits(q, rows):
     """Refuse trivial-character rows (label, degree, x, _) that cannot print,
-    before q^degree is built.  The k rows of top degree D add kD/(q^D - 1); the
-    rest shares with q^D - 1 at most each x's denominator and q^gcd(D, d) - 1.
-    That bounds the sum's denominator below, in bits, through 2^(b-1) <= q^64
-    < 2^b.  Nearer the print limit, _frac_str decides."""
+    before q^degree is built.  Let D be the top degree, with k rows at D.  A
+    prime l with ord_l(q) = D divides q^D - 1 and no q^d - 1 with d < D, so it
+    stays in the denominator of the sum of x + d/(q^d - 1) unless it divides
+    kD or the denominator of some x.  For D >= 3 these primes make up
+    Phi_D(q) but for a factor at most D, log2 Phi_D(q) >= phi(D) log2 q - 2,
+    and phi(D) > D/(e^gamma L + 2.51/L) with L = log log D (Rosser and
+    Schoenfeld 1962), which is more than D/(2B + 27) for B the bit length of
+    D's bit length.  log2 q is read off 2^(b-1) <= q^64 < 2^b.  Nearer the
+    print limit, _frac_str decides."""
     limit = sys.get_int_max_str_digits()
-    if not limit or not rows:
+    top = max((deg for _, deg, _, _ in rows), default=0)
+    if not limit or top < 3:
         return
-    top, b = max(deg for _, deg, _, _ in rows), (q ** 64).bit_length()
     k = sum(deg == top for _, deg, _, _ in rows)
-    rest = sum((b * -(-gcd(top, deg) // 64) if deg < top else 0) + x.denominator.bit_length()
-               for _, deg, x, _ in rows)
-    if (b - 1) * (top // 64) - 1 - (k * top).bit_length() - rest >= (10 ** limit).bit_length():
+    phi_low = top // (2 * top.bit_length().bit_length() + 27)
+    dens = sum((x.denominator - 1).bit_length() for _, _, x, _ in rows)
+    bits = (phi_low * ((q ** 64).bit_length() - 1) // 64 - 2 - top.bit_length()
+            - (k * top).bit_length() - dens)
+    if bits >= (10 ** limit).bit_length():
         raise _too_long()
 
 

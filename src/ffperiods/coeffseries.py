@@ -1,59 +1,28 @@
-"""Truncated series in one formal variable with TowerElem coefficients.
-
-Used for polynomials in the CM variable y, for expansions in w = y - psi(y),
-for the (z - zeta)-expansions of periods, and for the z-series of local
-shtuka matrices.  A CoeffSeries is a TruncSeries whose coefficient ring is
-one LocalFieldTower: the series algebra (precision rules, products, Newton
-inverse, powers, composition) is series.py's.  This module adds the
-tower-flavoured names and the two algorithms that only the tower side uses,
+"""The two series algorithms that only series over a LocalFieldTower use:
 Horner evaluation at any series point and series reversion.
 
-Coefficients with no visible term are not stored: a missing coefficient
+A series with tower-element coefficients is a plain TruncSeries whose ring
+is one LocalFieldTower: polynomials in the CM variable y, expansions in
+w = y - psi(y), the (z - zeta)-expansions of periods and the z-series of
+local shtuka matrices.  A coefficient with no visible term is not stored: it
 reads as zero at the working precision of the surrounding computation, not
-as an exact zero.  Every consumer of a *leading* coefficient therefore
-demands a visible term and raises otherwise; equality checks mean equality
-within precision throughout.
+as an exact zero, so `not s.terms` means "zero within precision".
 """
 
 from .series import TruncSeries
-
-
-class CoeffSeries(TruncSeries):
-    __slots__ = ()
-
-    @property
-    def tower(self):
-        return self.field
-
-    @classmethod
-    def variable(cls, tower, prec=None):
-        return cls(tower, {1: 1}, prec)
-
-    @classmethod
-    def constant(cls, tower, c, prec=None):
-        return cls(tower, {0: c}, prec)
-
-    pow = TruncSeries.pow_int  # TowerElem's name, with the truncation prec
-
-    def is_zero_within_precision(self):
-        return not self.terms
-
-    def substitute(self, inner, prec):
-        """Replace the variable by `inner` (ord >= 1), truncating to prec."""
-        return self.compose(inner.truncate(prec))
 
 
 def poly_at_series(poly, point, prec, tower):
     """Horner evaluation of a polynomial-with-coefficients at any series
     point (compose only accepts ord >= 1 inners)."""
     if poly.terms and max(poly.terms) == 0 and poly.prec is None:
-        return CoeffSeries(tower, {0: poly.terms[0]})
-    acc = CoeffSeries.zero(tower, prec)
+        return TruncSeries(tower, {0: poly.terms[0]})
+    acc = TruncSeries.zero(tower, prec)
     for deg in range(max(poly.terms, default=0), -1, -1):
         acc = (acc * point).truncate(prec)
         c = poly.terms.get(deg)
         if c is not None:
-            acc = acc + CoeffSeries.constant(tower, c, prec)
+            acc = acc + TruncSeries(tower, {0: c}, prec)
     return acc
 
 
@@ -78,7 +47,7 @@ def reversion(g, prec, tower):
             powers.setdefault(r, {})[n] = sum(
                 (b[i] * below[n - i] for i in range(1, n - r + 2)), tower.zero())
         b[n] = -sum((c * powers[r][n] for r, c in g_hi.items() if r <= n), tower.zero()) * g1_inv
-    w = CoeffSeries(tower, b, prec)
-    if not (g.substitute(w, prec) - CoeffSeries.variable(tower, prec)).is_zero_within_precision():
+    w = TruncSeries(tower, b, prec)
+    if (g.compose(w) - TruncSeries.monomial(tower, 1, prec=prec)).terms:
         raise ValueError("series reversion did not converge")
     return w

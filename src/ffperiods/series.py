@@ -8,11 +8,12 @@ tightest provable precision of its output; when a needed leading term is not
 determined inside the known range the operation raises rather than guessing.
 
 The coefficient ring is an FqField, or a LocalFieldTower for the series with
-tower-element coefficients (see coeffseries.py).  The ring supplies what the
-core asks of a field: coercion (``elem``), the characteristic ``p``, and
-``_packed_tables()``; its elements supply ``+ - * ** inv`` and ``is_zero()``,
-which for a tower element means "no visible term".  A coefficient that is
-zero in that sense is not stored.
+tower-element coefficients (coeffseries.py adds the Horner evaluation and the
+reversion that only those use).  The ring supplies what the core asks of a
+field: coercion (``elem``), the characteristic ``p``, and ``_packed_tables()``;
+its elements supply ``+ - * ** inv`` and ``is_zero()``, which for a tower
+element means "no visible term".  A coefficient that is zero in that sense is
+not stored.
 
 Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
 coefficient is replaced by its discrete log once, the second operand is

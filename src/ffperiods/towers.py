@@ -176,7 +176,7 @@ class LocalFieldTower:
             raise TypeError("expected a TowerElem, got %r" % (x,))
         return x if x.tower is self else self.lift(x)
 
-    # the coefficient-ring side of series over this tower (CoeffSeries)
+    # the coefficient-ring side of a TruncSeries over this tower
 
     def elem(self, x):
         """An int, or an element of this tower or of one below it."""
@@ -490,12 +490,13 @@ def _is_below(lower, upper):
 def _newton(x, f, step, target, error):
     """Newton's method from an approximate root x of F: x <- (x -
     step(x, F(x))).truncate(target), where f(x) = F(x) and step returns the
-    correction F(x)/F'(x), until F(x) has no visible term.  ord F(x) is the
-    order of x's error: it must grow at every step, else `error` is raised."""
+    correction F(x)/F'(x), until F(x) has no visible term.  x is a TowerElem
+    or a TruncSeries over a tower.  ord F(x) is the order of x's error: it
+    must grow at every step, else `error` is raised."""
     last = None
     while True:
         fx = f(x)
-        if fx.is_zero_within_precision():
+        if not (fx.series if isinstance(fx, TowerElem) else fx).terms:
             return x
         if last is not None and fx.ord() <= last:
             raise error

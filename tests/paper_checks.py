@@ -5,9 +5,9 @@ etale unit A-motive model."""
 from fractions import Fraction
 
 from ffperiods.amotive import AMotiveModel
-from ffperiods.coeffseries import CoeffSeries
 from ffperiods.lfunctions import indicator_pair_function, mu_art_v, z_v_rational
 from ffperiods.ratfunc import QPoly, RatFunc
+from ffperiods.series import TruncSeries
 from ffperiods.towers import LocalFieldTower
 
 
@@ -51,7 +51,7 @@ def identity_model(q, rank, q_v=None):
     """The etale unit model: tau the identity matrix."""
     tower = LocalFieldTower.base(q_v or q)
     theta = tower.uniformizer()
-    one = CoeffSeries.one(tower)
-    zero = CoeffSeries.zero(tower)
+    one = TruncSeries.one(tower)
+    zero = TruncSeries.zero(tower)
     tau = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
     return AMotiveModel(q, rank, tau, theta, tower)

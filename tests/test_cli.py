@@ -393,16 +393,17 @@ def test_tower_degree_too_long_to_print_is_a_resource_limit(capsys, tmp_path):
                    "bound 64 (FFP_TOWER_BOUND sets the cap)\n")
 
 
-def test_regularize_huge_row_degree_exits_at_once(tmp_path):
-    # q^degree is never built: rows of degree 10^8 or 10^9 exit 2 at once, at
-    # odd q too, and next to a row of a coprime degree (in a subprocess, so
-    # that a build of q^degree times out)
+# trivial-character row degrees, each dividing the first
+DIVISOR_CHAIN = [3000000, 1500000, 1000000, 500000]
+
+
+def _regularize_in_subprocess(tmp_path, payloads, timeout):
+    """Run `regularize` on each payload in one fresh interpreter, so that a
+    build of q^degree times out; the exit code is the largest."""
     configs = []
-    for n, (q, degrees) in enumerate([(3, [10 ** 8]), (7, [10 ** 9]), (2, [10 ** 9]),
-                                      (3, [10 ** 8, 10 ** 8 - 1])]):
+    for n, payload in enumerate(payloads):
         path = tmp_path / ("reg%d.json" % n)
-        path.write_text(json.dumps({"schema": "1", "q": q, "explicit": [
-            {"degree": degree, "x": "1/3"} for degree in degrees]}))
+        path.write_text(json.dumps(payload))
         configs.append(str(path))
     script = (
         "import sys\n"
@@ -412,11 +413,29 @@ def test_regularize_huge_row_degree_exits_at_once(tmp_path):
     src = os.path.dirname(os.path.dirname(ffperiods.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script] + configs, env=env,
-                          capture_output=True, text=True, timeout=20)
+    return subprocess.run([sys.executable, "-c", script] + configs, env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_regularize_huge_row_degree_exits_at_once(tmp_path):
+    # q^degree is never built: rows of degree 10^8 or 10^9 exit 2 at once, at
+    # odd q too, and next to a row of a coprime degree
+    proc = _regularize_in_subprocess(tmp_path, [
+        {"schema": "1", "q": q, "explicit": [{"degree": degree, "x": "1/3"} for degree in degrees]}
+        for q, degrees in [(3, [10 ** 8]), (7, [10 ** 9]), (2, [10 ** 9]),
+                           (3, [10 ** 8, 10 ** 8 - 1])]], timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     limit = sys.get_int_max_str_digits()
     assert proc.stderr == "resource limit: a rational has more than %d digits\n" % limit * 4
+
+
+def test_regularize_divisor_chain_exits_at_once(tmp_path):
+    # the lower degrees divide the top one, so together their q^d - 1 share
+    # every bit of q^D - 1; the primes of order D still fill the denominator
+    proc = _regularize_in_subprocess(tmp_path, [{"schema": "1", "q": 3, "explicit": [
+        {"degree": degree, "x": "1"} for degree in DIVISOR_CHAIN]}], timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource limit:")
 
 
 @pytest.mark.parametrize("command", ["omega"])
@@ -796,11 +815,13 @@ def regularize_configs(draw):
                       a_identity=draw(RATIONAL), mu_infty=draw(RATIONAL))
     elif draw(st.booleans()):
         config["character"] = "trivial"
-    # Z_v(1, 1) = 1/(q^20000 - 1) has more digits than an int may print
+    # Z_v(1, 1) = 1/(q^20000 - 1) has more digits than an int may print, and
+    # so has the sum over a chain of divisors of 3 * 10^6
     huge = not user and draw(st.integers(0, 5)) == 0
     if huge:
         config["explicit"] = config.get("explicit", []) + [
-            {"label": "t", "degree": 20000, "x": "1"}]
+            {"label": "t", "degree": degree, "x": "1"}
+            for degree in draw(st.sampled_from([[20000], DIVISOR_CHAIN]))]
     flaw = draw(maybe(REG_FLAWS + (USER_FLAWS if user else [])))
     if flaw is not None:
         config.update(flaw)

@@ -63,9 +63,9 @@ def test_std_shtuka_carlitz_tau():
     tau = sh.tau_poly(0, 0)
     # tau = y - zeta: coefficients {0: -zeta, 1: 1}
     assert set(tau.terms) == {0, 1}
-    zeta = tau.tower.level_uniformizer(0)
+    zeta = tau.field.level_uniformizer(0)
     assert (tau.terms[0] + zeta).is_zero_within_precision()
-    assert (tau.terms[1] - tau.tower.one()).is_zero_within_precision()
+    assert (tau.terms[1] - tau.field.one()).is_zero_within_precision()
 
 
 def test_std_shtuka_etale_and_readback():
@@ -86,7 +86,7 @@ def test_factorization_of_z_minus_zeta():
     cm = single_cm(3, 1, 2)
     sh = std_shtuka(cm, {emb: 1 for emb in cm.embeddings()})
     tau = sh.tau_poly(0, 0)
-    tower = tau.tower
+    tower = tau.field
     z = tower.level_uniformizer(0)
     assert set(tau.terms) == {0, 2}
     assert (tau.terms[0] + z).is_zero_within_precision()  # constant = -pi^2 = -z
