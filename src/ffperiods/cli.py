@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -425,24 +426,26 @@ def cmd_regularize(args):
 
 def _check_row_digits(q, rows):
     """Refuse trivial-character rows (label, degree, x, _) that cannot print,
-    before q^degree is built.  Let D be the top degree, with k rows at D.  A
-    prime l with ord_l(q) = D divides q^D - 1 and no q^d - 1 with d < D, so it
-    stays in the denominator of the sum of x + d/(q^d - 1) unless it divides
-    kD or the denominator of some x.  For D >= 3 these primes make up
-    Phi_D(q) but for a factor at most D, log2 Phi_D(q) >= phi(D) log2 q - 2,
-    and phi(D) > D/(e^gamma L + 2.51/L) with L = log log D (Rosser and
-    Schoenfeld 1962), which is more than D/(2B + 27) for B the bit length of
-    D's bit length.  log2 q is read off 2^(b-1) <= q^64 < 2^b.  Nearer the
-    print limit, _frac_str decides."""
+    before q^degree is built.  Let D be the top degree, and take each row
+    degree d with D < 2d, held by k rows.  A prime l with ord_l(q) = d divides
+    q^d - 1 and no q^d' - 1 unless d | d', so no other row degree; it stays
+    in the denominator of the sum of x + d/(q^d - 1) unless it divides kd or
+    the denominator of some x, and no l serves two such d.  For d >= 3 these
+    primes make up Phi_d(q) but for a factor at most d, log2 Phi_d(q) >=
+    phi(d) log2 q - 2, and phi(d) > d/(e^gamma L + 2.51/L) with L = log log d
+    (Rosser and Schoenfeld 1962), which is more than d/(2B + 27) for B the
+    bit length of d's bit length.  log2 q is read off 2^(b-1) <= q^64 < 2^b.
+    Nearer the print limit, _frac_str decides."""
     limit = sys.get_int_max_str_digits()
-    top = max((deg for _, deg, _, _ in rows), default=0)
-    if not limit or top < 3:
+    if not limit or not rows:
         return
-    k = sum(deg == top for _, deg, _, _ in rows)
-    phi_low = top // (2 * top.bit_length().bit_length() + 27)
-    dens = sum((x.denominator - 1).bit_length() for _, _, x, _ in rows)
-    bits = (phi_low * ((q ** 64).bit_length() - 1) // 64 - 2 - top.bit_length()
-            - (k * top).bit_length() - dens)
+    top = max(deg for _, deg, _, _ in rows)
+    counts = Counter(deg for _, deg, _, _ in rows if 2 * deg > top)
+    b = (q ** 64).bit_length() - 1
+    bits = -sum((x.denominator - 1).bit_length() for _, _, x, _ in rows)
+    for d, k in counts.items():
+        phi_low = d // (2 * d.bit_length().bit_length() + 27)
+        bits += max(0, phi_low * b // 64 - 2 - d.bit_length() - (k * d).bit_length())
     if bits >= (10 ** limit).bit_length():
         raise _too_long()
 

@@ -395,6 +395,8 @@ def test_tower_degree_too_long_to_print_is_a_resource_limit(capsys, tmp_path):
 
 # trivial-character row degrees, each dividing the first
 DIVISOR_CHAIN = [3000000, 1500000, 1000000, 500000]
+# trivial-character row degrees, none dividing another
+CONSECUTIVE = list(range(400000, 400100))
 
 
 def _regularize_in_subprocess(tmp_path, payloads, timeout):
@@ -434,6 +436,17 @@ def test_regularize_divisor_chain_exits_at_once(tmp_path):
     # every bit of q^D - 1; the primes of order D still fill the denominator
     proc = _regularize_in_subprocess(tmp_path, [{"schema": "1", "q": 3, "explicit": [
         {"degree": degree, "x": "1"} for degree in DIVISOR_CHAIN]}], timeout=2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource limit:")
+
+
+@pytest.mark.parametrize("q, degrees", [(2, CONSECUTIVE), (3, range(1, 1501))],
+                         ids=["400000-400099", "1-1500"])
+def test_regularize_many_row_degrees_exit_at_once(tmp_path, q, degrees):
+    # no one degree's primes fill the denominator, but those of every degree
+    # above half the top one do together
+    proc = _regularize_in_subprocess(tmp_path, [{"schema": "1", "q": q, "explicit": [
+        {"degree": degree, "x": "1"} for degree in degrees]}], timeout=2)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("resource limit:")
 
@@ -816,12 +829,13 @@ def regularize_configs(draw):
     elif draw(st.booleans()):
         config["character"] = "trivial"
     # Z_v(1, 1) = 1/(q^20000 - 1) has more digits than an int may print, and
-    # so has the sum over a chain of divisors of 3 * 10^6
+    # so has the sum over a chain of divisors of 3 * 10^6 or over 100
+    # consecutive degrees
     huge = not user and draw(st.integers(0, 5)) == 0
     if huge:
         config["explicit"] = config.get("explicit", []) + [
             {"label": "t", "degree": degree, "x": "1"}
-            for degree in draw(st.sampled_from([[20000], DIVISOR_CHAIN]))]
+            for degree in draw(st.sampled_from([[20000], DIVISOR_CHAIN, CONSECUTIVE]))]
     flaw = draw(maybe(REG_FLAWS + (USER_FLAWS if user else [])))
     if flaw is not None:
         config.update(flaw)
