@@ -35,7 +35,6 @@ from .cmshtuka import (
     LeadingTermMismatchError,
     WildComponentError,
     hat_valuation,
-    max_recursion_depth,
     omega_period,
     omega_valuation_closed,
     omega_valuation_via_L,
@@ -264,9 +263,7 @@ def cmd_omega(args):
         return EXIT_OK
     if args.depth is not None and args.depth < 0:
         raise InputError("depth must be >= 0")
-    bound = _tower_bound()
-    depth = args.depth if args.depth is not None else max_recursion_depth(cm, phi.i, bound)
-    pe = omega_period(cm, phi, psi, depth=depth, bound=bound)
+    pe = omega_period(cm, phi, psi, depth=args.depth, bound=_tower_bound())
     series = period_valuation_series(pe)
     via_l = omega_valuation_via_L(cm, phi, psi)
     agree = series == closed == via_l

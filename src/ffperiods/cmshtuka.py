@@ -236,43 +236,28 @@ def embedding_value(tower, cm, emb, pi):
 class RecursionFamily(Record):
     """Solution family of sigma^f(l+) = (y - xi) l+ with xi = phi(y)."""
 
-    __slots__ = __match_args__ = ("tower", "xi", "q_tilde", "ells", "rescale")
-    # rescale: optional residue-constant multiplier (a_0 != 0)
+    __slots__ = __match_args__ = ("tower", "xi", "q_tilde", "ells")
 
-    def __init__(self, tower, xi, q_tilde, ells, rescale=None):
-        self._set(tower, xi, q_tilde, ells, rescale)
+    def __init__(self, tower, xi, q_tilde, ells):
+        self._set(tower, xi, q_tilde, ells)
 
     def depth(self):
         return len(self.ells) - 1
 
-    def coefficients(self):
-        if not self.rescale:
-            return list(self.ells)
-        out = []
-        for n in range(len(self.ells)):
-            acc = self.tower.zero()
-            for j, a in enumerate(self.rescale):
-                if j > n or a.is_zero():
-                    continue
-                acc = acc + self.ells[n - j].scale_coeff(a)
-            out.append(acc)
-        return out
-
     def verify_tau_property(self):
         """l_0^qt = -xi l_0 and l_n^qt + xi l_n = l_(n-1), within precision."""
-        qt = self.q_tilde
-        coeffs = self.coefficients()
-        rel = coeffs[0].pow(qt) + self.xi * coeffs[0]
+        qt, ells = self.q_tilde, self.ells
+        rel = ells[0].pow(qt) + self.xi * ells[0]
         if not rel.is_zero_within_precision():
             return False
-        for n in range(1, len(coeffs)):
-            rel = coeffs[n].pow(qt) + self.xi * coeffs[n] - coeffs[n - 1]
+        for n in range(1, len(ells)):
+            rel = ells[n].pow(qt) + self.xi * ells[n] - ells[n - 1]
             if not rel.is_zero_within_precision():
                 return False
         return True
 
 
-def recursion_family(cm, phi, depth, bound=None, rescale=None, base_tower=None, units=2):
+def recursion_family(cm, phi, depth, bound=None, base_tower=None, units=2):
     c = cm.components[phi.i]
     if not c.tame:
         raise WildComponentError("the series route needs a tame component")
@@ -284,12 +269,7 @@ def recursion_family(cm, phi, depth, bound=None, rescale=None, base_tower=None, 
     xi = embedding_value(tower, cm, phi, pi)
     qt = cm.q_tilde(phi.i)
     tower, ells, xi = solve_frobenius_recursion(tower, xi, qt, depth)
-    rescale_elems = None
-    if rescale is not None:
-        rescale_elems = [tower.residue.elem(a) for a in rescale]
-        if rescale_elems[0].is_zero():
-            raise ValueError("rescaling unit must have a nonzero constant term")
-    fam = RecursionFamily(tower, xi, qt, ells, rescale_elems)
+    fam = RecursionFamily(tower, xi, qt, ells)
     if not fam.verify_tau_property():
         raise TowerError("recursion family fails its defining relation")
     return fam
@@ -306,19 +286,31 @@ DEFAULT_TOWER_BOUND = 64
 MAX_RECURSION_DEPTH = 3  # the deepest recursion max_recursion_depth picks
 
 
+def recursion_degrees(c, qt, depth):
+    """The degrees that the recursion tower of tame component c (q~ = qt)
+    grows through to `depth`, in order: 1, f if f > 1, f e if e > 1, f e (q~ - 1)
+    if q~ > 2, then one factor q~ per level.  The last depth + 1 are the
+    degrees at depths 0 to `depth`."""
+    degree = 1
+    yield degree
+    for factor in (c.f, c.e, qt - 1):
+        if factor > 1:
+            degree *= factor
+            yield degree
+    for _ in range(depth):
+        degree *= qt
+        yield degree
+
+
 def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND):
     """Largest depth <= MAX_RECURSION_DEPTH whose recursion tower stays
     within the bound."""
-    c = cm.components[i]
-    qt = cm.q_tilde(i)
-    base = c.f * c.e * max(qt - 1, 1)
+    degrees = list(recursion_degrees(cm.components[i], cm.q_tilde(i), MAX_RECURSION_DEPTH))
+    base, *levels = degrees[-MAX_RECURSION_DEPTH - 1:]
     if base > bound:
         raise TowerBoundError("even depth 0 needs tower degree %s, above the bound %d"
                               % (degree_str(base), bound))
-    n = 0
-    while n < MAX_RECURSION_DEPTH and base * qt ** (n + 1) <= bound:
-        n += 1
-    return n
+    return sum(1 for degree in levels if degree <= bound)
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +374,10 @@ def _evaluation_series(fam, cm, psi, pi, w_prec, sigma_power):
     valuations of its w^0 summands."""
     tower = fam.tower
     psi_y = embedding_value(tower, cm, psi, pi)
-    coeffs = fam.coefficients()
     qpow = cm.q_v ** sigma_power
     terms = {}
     term_vals = []
-    for n, ell in enumerate(coeffs):
+    for n, ell in enumerate(fam.ells):
         ell_s = ell.pow(qpow)
         term_vals.append(ell_s.valuation() + n * psi_y.valuation())
         for r in range(0, min(n, w_prec - 1) + 1):
@@ -459,15 +450,13 @@ def _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec):
     return w_series.compose(w_of_u.truncate(w_prec)), zmz.coeff(1)
 
 
-def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, rescale=None,
-                 w_prec=None):
+def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND):
     """The eigencomponent period of the elementary CM shtuka of phi, read in
     the psi-coordinate, as a PeriodElement.
 
     Verifies the defining recursion to `depth` (by default the deepest that
-    `bound` allows); `bound` caps the recursion tower's degree, and None
-    leaves it uncapped.  The rescale hook multiplies the recursion solution
-    by an integral unit (choice-independence tests).
+    `bound` allows); `bound` caps the recursion tower's degree, checked before
+    any tower is built, and None leaves it uncapped.
     """
     if phi.i != psi.i:
         raise MixedComponentError("period components must agree: %r vs %r" % (phi, psi))
@@ -477,10 +466,15 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, rescale=No
         )
     if depth is None:
         depth = max_recursion_depth(cm, phi.i, bound)
+    elif bound is not None:
+        for degree in recursion_degrees(cm.components[phi.i], cm.q_tilde(phi.i), depth):
+            if degree > bound:
+                raise TowerBoundError("tower degree %s exceeds bound %d"
+                                      % (degree_str(degree), bound))
 
     def run(units):
-        fam = recursion_family(cm, phi, depth, bound, rescale, units=units)
-        pe = _omega_from_family(fam, cm, phi, psi, w_prec)
+        fam = recursion_family(cm, phi, depth, bound, units=units)
+        pe = _omega_from_family(fam, cm, phi, psi)
         pe.series_valuation()  # raise a late precision failure where it can rerun
         return pe
 
@@ -491,13 +485,12 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND, rescale=No
         return run(second)
 
 
-def _omega_from_family(fam, cm, phi, psi, w_prec=None):
+def _omega_from_family(fam, cm, phi, psi):
     """The period from its head: the w- and (z - zeta)-series to hat + 1
-    terms, where the hat order is 1 iff phi = psi.  The expansion to w_prec
-    (default depth + 2) is left to the first read of zeta_coeffs."""
+    terms, where the hat order is 1 iff phi = psi.  The expansion to depth + 2
+    terms is left to the first read of zeta_coeffs."""
     tower = fam.tower
-    if w_prec is None:
-        w_prec = fam.depth() + 2
+    w_prec = fam.depth() + 2
     pi = family_uniformizer(fam, cm, phi)
     hat = int(phi == psi)
     w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1, pi)
@@ -723,7 +716,7 @@ def integral_u_omega(shtuka, psi, u_scaling=None, omega_scaling=None, depth=None
     for phi, fam in fams:
         fam_up = RecursionFamily(
             current, current.lift_from(fam.xi), fam.q_tilde,
-            [current.lift_from(x) for x in fam.ells], fam.rescale,
+            [current.lift_from(x) for x in fam.ells],
         )
         om_w, om_hat, om_lead, _ = _omega_w_series(fam_up, cm, phi, psi, w_prec, pi_here)
         d = shtuka.d(phi)
@@ -907,7 +900,7 @@ def galois_character_check(cm, phi, psi, g_kind, g_index, depth=2,
         twisted = [ell.coeff_frobenius(g_index) for ell in fam.ells]
     else:
         raise ValueError("g_kind must be 'inertia' or 'frobenius'")
-    tfam = RecursionFamily(tower, fam.xi, qt, twisted, fam.rescale)
+    tfam = RecursionFamily(tower, fam.xi, qt, twisted)
     if not tfam.verify_tau_property():
         return False
     # chi(g) = g(l+)/l+: triangular solve of chi * l+ = g(l+)

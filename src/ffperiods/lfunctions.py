@@ -38,12 +38,6 @@ class LogQValue(FrozenRecord):
     def __neg__(self):
         return LogQValue(-self.coeff)
 
-    def scale(self, c):
-        return LogQValue(self.coeff * Fraction(c))
-
-    def is_zero(self):
-        return self.coeff == 0
-
     def __str__(self):
         return "%s·log q" % self.coeff
 
@@ -69,7 +63,7 @@ class LocalGaloisDatum:
       e, f               -- inertia order and residue degree of L
       frobenius_class(g) -- n mod f with g acting as x -> x^(q_v^n) on residues
       mu(g)              -- Fraction
-      compose(g, h), inverse(g) -- group structure (for conjugation / star)
+      compose(g, h), inverse(g) -- group structure (for conjugation)
     """
 
     def __init__(self, q_v, elements, inertia, e, f, frob_class, mu_map, compose, inverse,
@@ -247,31 +241,11 @@ class ClassFunctionQ:
         return cls(datum, {g: Fraction(1) for g in datum.elements})
 
     @classmethod
-    def zero(cls, datum):
-        return cls(datum, {g: Fraction(0) for g in datum.elements})
-
-    @classmethod
     def from_callable(cls, datum, fn):
         return cls(datum, {g: Fraction(fn(g)) for g in datum.elements})
 
     def __call__(self, g):
         return self.values[g]
-
-    def __add__(self, other):
-        assert other.datum is self.datum
-        return ClassFunctionQ(
-            self.datum, {g: self.values[g] + other.values[g] for g in self.datum.elements}
-        )
-
-    def scale(self, c):
-        c = Fraction(c)
-        return ClassFunctionQ(self.datum, {g: v * c for g, v in self.values.items()})
-
-    def star(self):
-        """a*(g) = a(g^(-1))."""
-        return ClassFunctionQ(
-            self.datum, {g: self.values[self.datum.inverse(g)] for g in self.datum.elements}
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,6 @@ class QPoly(PolyFq):
     def __init__(self, coeffs):
         super().__init__(QQ, coeffs)
 
-    @classmethod
-    def const(cls, c):
-        return cls([c])
-
-    @classmethod
-    def x(cls):
-        return cls([0, 1])
-
 
 class PoleOrZeroError(ArithmeticError):
     pass
@@ -64,53 +56,11 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, c):
-        return cls(QPoly.const(c))
-
-    @classmethod
-    def x(cls):
-        return cls(QPoly.x())
-
-    def is_zero(self):
-        return self.num.is_zero()
-
     def __eq__(self, other):
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __add__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.const(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.const(other)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.const(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __truediv__(self, other):
-        if not isinstance(other, RatFunc):
-            other = RatFunc.const(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
 
     def scale(self, c):
         return RatFunc(self.num.scale(c), self.den)

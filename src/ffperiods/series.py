@@ -72,10 +72,6 @@ class TruncSeries:
 
     # -- structure ----------------------------------------------------------
 
-    def is_zero(self):
-        """True iff provably zero (exact and no terms)."""
-        return not self.terms and self.prec is None
-
     def ord(self):
         """Exponent of the lowest known term.
 

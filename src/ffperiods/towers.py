@@ -302,20 +302,18 @@ class LocalFieldTower:
             w_inv = self._prev_uniformizer(target + (k + 1) * m).inv()
             for e, c in negs.items():
                 out = out + w_inv.pow_int(-e).scale(c).truncate(target)
-        if s.prec is not None:
-            out = out.truncate(min(target, s.prec * m))
-        else:
-            out = out.truncate(target)
+        # out is cut at the target, and at s.prec * m, since ord w = m or w
+        # has no term below O(T^m): _subst and compose claim no more
         return TowerElem(self, out)
 
-    def level_uniformizer(self, level, prec=None):
+    def level_uniformizer(self, level):
         """The uniformizer of Eisenstein level `level` (0 = the base
         uniformizer z) expressed in this tower."""
         towers = self.depth_levels()
         eis = [t for t in towers if t.step is None or t.step[0] == "eisenstein"]
         if level < 0 or level >= len(eis):
             raise ValueError("no Eisenstein level %d in this tower" % level)
-        return self.lift(eis[level].uniformizer(), prec)
+        return self.lift(eis[level].uniformizer())
 
     def depth_levels(self):
         out = [self]

@@ -185,6 +185,9 @@ def message_jobs():
         omega("FFP_TOWER_BOUND below 1", TAME_CM, env={"FFP_TOWER_BOUND": "-5"}),
         omega("tower above the cap", TAME_CM, psi="(0,0,1)", extra=["--depth", "40"]),
         omega("cap below depth 0", TAME_CM, env={"FFP_TOWER_BOUND": "1"}),
+        omega("explicit depth above the cap, checked before the field is built",
+              {"schema": "1", "q_v": 256, "components": [{"f": 32, "e": 1, "tame": True}]},
+              extra=["--depth", "0"]),
         omega("tower degree too long to print",
               {"schema": "1", "q_v": 2, "components": [{"f": 20000, "e": 1}]}),
         omega("twelve-digit prime q_v",

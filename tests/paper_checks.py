@@ -1,10 +1,11 @@
 """Test-side references shared by several test modules: the induction
-lemma's closed forms and its check on the indicator pair function, and the
-etale unit A-motive model."""
+lemma's closed forms and its check on the indicator pair function, the
+etale unit A-motive model, and the period of a rescaled recursion family."""
 
 from fractions import Fraction
 
 from ffperiods.amotive import AMotiveModel
+from ffperiods.cmshtuka import RecursionFamily, _omega_from_family, recursion_family
 from ffperiods.lfunctions import indicator_pair_function, mu_art_v, z_v_rational
 from ffperiods.ratfunc import QPoly, RatFunc
 from ffperiods.series import TruncSeries
@@ -55,3 +56,18 @@ def identity_model(q, rank, q_v=None):
     zero = TruncSeries.zero(tower)
     tau = [[one if i == j else zero for j in range(rank)] for i in range(rank)]
     return AMotiveModel(q, rank, tau, theta, tower)
+
+
+def rescaled_period(cm, phi, psi, depth, rescale):
+    """The period of phi's recursion family l+ times the integral unit
+    a = sum_j rescale[j] y^j (integers, rescale[0] a unit), read in the
+    psi-coordinate: l'_n = sum_j a_j l_(n-j) solves the same relation, since
+    sigma^f fixes the a_j."""
+    fam = recursion_family(cm, phi, depth)
+    a = [fam.tower.residue.elem(c) for c in rescale]
+    ells = [sum((fam.ells[n - j].scale_coeff(c) for j, c in enumerate(a[:n + 1]) if c),
+                fam.tower.zero()) for n in range(len(fam.ells))]
+    scaled = RecursionFamily(fam.tower, fam.xi, fam.q_tilde, ells)
+    if not scaled.verify_tau_property():
+        raise AssertionError("rescaled family fails its defining relation")
+    return _omega_from_family(scaled, cm, phi, psi)

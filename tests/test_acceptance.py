@@ -53,7 +53,7 @@ from ffperiods.towers import (
     solve_frobenius_recursion,
     tame_group,
 )
-from paper_checks import identity_model, lemma_pair_check
+from paper_checks import identity_model, lemma_pair_check, rescaled_period
 
 # every tame datum of the acceptance grid: q_v in {2,3}, f in {1,2},
 # e in {1,2,3,4} with e | q_v^f - 1
@@ -203,7 +203,7 @@ def test_criterion_8_property_suites():
     # choice-independence of valuations under O^x rescalings of l+
     for rescale in ([2], [1, 1], [2, 0, 1]):
         assert period_valuation_series(
-            omega_period(cm, phi, psi, depth=1, rescale=rescale)
+            rescaled_period(cm, phi, psi, 1, rescale)
         ) == period_valuation_series(omega_period(cm, phi, psi, depth=1))
     # inertia sum zero for mu
     for q_v, f, e in TAME_GRID:

@@ -393,6 +393,19 @@ def test_tower_degree_too_long_to_print_is_a_resource_limit(capsys, tmp_path):
                    "bound 64 (FFP_TOWER_BOUND sets the cap)\n")
 
 
+def test_explicit_depth_checks_the_cap_before_building(tmp_path):
+    # the unramified step alone (degree 32) is within the default cap, but
+    # F_(2^256) is not built: the Kummer step's degree 32 (256^32 - 1) is
+    # above the cap, and that is checked first, as it is without --depth
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 256,
+                              "components": [{"f": 32, "e": 1, "tame": True}]})
+    env = {k: v for k, v in os.environ.items() if k != "FFP_TOWER_BOUND"}
+    proc = _python_in_subprocess(["-m", "ffperiods.cli", "omega", "--cm", path, "--phi",
+                                  "(0,0,0)", "--psi", "(0,0,0)", "--depth", "0"], 2, env)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("resource limit: tower degree")
+
+
 # trivial-character row degrees, each dividing the first
 DIVISOR_CHAIN = [3000000, 1500000, 1000000, 500000]
 # trivial-character row degrees, none dividing another
@@ -412,10 +425,15 @@ def _regularize_in_subprocess(tmp_path, payloads, timeout):
         "from ffperiods.cli import main\n"
         "sys.exit(max(main(['regularize', '--config', p]) for p in sys.argv[1:]))\n"
     )
+    return _python_in_subprocess(["-c", script] + configs, timeout)
+
+
+def _python_in_subprocess(args, timeout, env=None):
+    """A fresh interpreter on `args`, with this ffperiods on its path."""
     src = os.path.dirname(os.path.dirname(ffperiods.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", script] + configs, env=env,
+    return subprocess.run([sys.executable] + args, env=env,
                           capture_output=True, text=True, timeout=timeout)
 
 

@@ -37,6 +37,7 @@ from ffperiods.cmshtuka import (
 from ffperiods.fields import FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import LocalFieldTower
+from paper_checks import rescaled_period
 
 
 def carlitz_cm(q_v):
@@ -175,9 +176,9 @@ def test_choice_independence_under_rescale():
     base_cross = period_valuation_series(omega_period(cm, phi, psi, depth=1))
     for rescale in ([2], [1, 1], [2, 0, 1]):
         assert period_valuation_series(
-            omega_period(cm, phi, phi, depth=1, rescale=rescale)) == base_same
+            rescaled_period(cm, phi, phi, 1, rescale)) == base_same
         assert period_valuation_series(
-            omega_period(cm, phi, psi, depth=1, rescale=rescale)) == base_cross
+            rescaled_period(cm, phi, psi, 1, rescale)) == base_cross
 
 
 def test_mixed_component_error():
@@ -498,7 +499,7 @@ def test_period_expansion_coefficients_by_hand():
 
     cm = carlitz_cm(3)
     psi = Embedding(0, 0, 0)
-    pe = omega_period(cm, psi, psi, depth=2, w_prec=4)
+    pe = omega_period(cm, psi, psi, depth=2)
     tower = pe.tower
     cmx = CMAlgebra(3, [CMComponent(1, 1)])
     from ffperiods.cmshtuka import recursion_family

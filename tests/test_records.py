@@ -32,7 +32,7 @@ RECORDS = [
     (CMComponent, ("f", "e", "tame", "diff_valuation", "pairwise"),
      {"tame": True, "diff_valuation": None, "pairwise": None}, True),
     (Embedding, ("i", "j", "k"), {}, True),
-    (RecursionFamily, ("tower", "xi", "q_tilde", "ells", "rescale"), {"rescale": None}, False),
+    (RecursionFamily, ("tower", "xi", "q_tilde", "ells"), {}, False),
     (PeriodElement, ("hat_order", "leading", "term_valuations", "tower", "expand"), {}, False),
     (ScalingData, ("u_powers", "x_leading_valuation", "x_order"),
      {"u_powers": {}, "x_leading_valuation": Fraction(0), "x_order": 0}, False),

@@ -511,7 +511,8 @@ def reexpand_down(tower, level, depth):
     top-uniformizer units)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    return tower.level_uniformizer(level, prec=depth)
+    eis = [t for t in tower.depth_levels() if t.step is None or t.step[0] == "eisenstein"]
+    return tower.lift(eis[level].uniformizer(), depth)
 
 
 def test_reexpand_down_function():
@@ -523,7 +524,7 @@ def test_reexpand_down_function():
         reexpand_down(t2, 0, 0)
 
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 _tower34 = None
 
@@ -581,6 +582,21 @@ def eisenstein_data(draw):
         else:
             others.append((kind, draw(st.integers(min_value=1, max_value=4))))
     return q_v, a0, others, draw(st.integers(min_value=1, max_value=24))
+
+
+def _drawn_step(data, units=2):
+    """The tower over F_{q_v}((z)) with the Eisenstein step eisenstein_data
+    draws, or None where that step is not Eisenstein."""
+    q_v, a0_terms, others, _ = data
+    t = LocalFieldTower.base(q_v, units=units)
+    coeffs = {0: t.element(a0_terms).scale_coeff(-t.residue.one)}
+    for j, (kind, spec) in enumerate(others, 1):
+        if kind != "exact zero":
+            coeffs[j] = t.zero(spec) if kind == "inexact zero" else t.element(spec)
+    try:
+        return t, coeffs, t.extend_eisenstein(coeffs, degree=len(others) + 1)
+    except NotEisensteinError:
+        return None  # a_0's z coefficient is 0 in characteristic p
 
 
 @given(eisenstein_data())
@@ -761,16 +777,10 @@ def test_newton_reexpansion_agrees_with_fixed_point(data):
     # equal on a step without an inexact zero coefficient; with one, the
     # fixed point's first sweep from w = 0 may lose precision, and Newton
     # agrees with it to its precision and knows at least as far
-    q_v, a0_terms, others, prec = data
-    t = LocalFieldTower.base(q_v)
-    coeffs = {0: t.element(a0_terms).scale_coeff(-t.residue.one)}
-    for j, (kind, spec) in enumerate(others, 1):
-        if kind != "exact zero":
-            coeffs[j] = t.zero(spec) if kind == "inexact zero" else t.element(spec)
-    try:
-        top = t.extend_eisenstein(coeffs, degree=len(others) + 1)
-    except NotEisensteinError:
-        return  # a_0's z coefficient is 0 in characteristic p
+    built = _drawn_step(data)
+    if built is None:
+        return
+    top, others, prec = built[2], data[2], data[3]
     got, ref = top._reexpand(prec), reexpand_by_fixed_point(top, prec)
     if any(kind == "inexact zero" for kind, _ in others):
         assert got.prec >= ref.prec and got.truncate(ref.prec) == ref
@@ -842,3 +852,45 @@ def test_recursion_valuation_law_raises(monkeypatch, q_v, law):
     t = LocalFieldTower.base(q_v, bound=10 ** 4)
     with pytest.raises(TowerError, match=law):
         solve_frobenius_recursion(t, t.uniformizer(), q_v, 1)
+
+
+# -- precision that is never overclaimed ---------------------------------------------
+
+
+@given(eisenstein_data(), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lift_claims_no_term_its_input_does_not_know(data, known, extra, draw):
+    # x is known to O(z^P); y agrees with x below z^P, has a term at z^P and
+    # is known further.  Their lifts must agree below the precisions both
+    # claim: a lift of x that claimed the T^(P m) coefficient would differ
+    built = _drawn_step(data)
+    if built is None:
+        return
+    base, _, top = built
+    q_v = data[0]
+    digits = st.integers(min_value=0, max_value=q_v - 1)
+    terms = draw.draw(st.dictionaries(st.integers(0, known - 1), digits, max_size=4))
+    more = {known: draw.draw(st.integers(min_value=1, max_value=q_v - 1))}
+    more.update(draw.draw(st.dictionaries(st.integers(known + 1, known + extra), digits)))
+    x = top.lift(base.element(terms, prec=known))
+    y = top.lift(base.element({**terms, **more}, prec=draw.draw(
+        st.sampled_from([None, known + extra + 1]))))
+    prec = min(x.series.prec, y.series.prec)
+    assert y.series.truncate(prec) == x.series.truncate(prec)
+
+
+@given(eisenstein_data(), st.integers(min_value=1, max_value=8))
+@example(data=(2, {1: 1, 2: 1}, [], 1), units=1)  # prec 33; Newton passes ord c = 16
+@settings(max_examples=60, deadline=None)
+def test_lift_through_the_seeded_memo_equals_a_fresh_substitution(data, units):
+    # the re-expansion seeds the memo with each coefficient's substitution;
+    # that seed must be what the substitution itself gives, in terms and prec,
+    # at every working precision the units draw
+    built = _drawn_step(data, units)
+    if built is None:
+        return
+    _, coeffs, top = built
+    seeded = [top.lift(c) for c in coeffs.values()]
+    top._subst_memo.clear()
+    assert [top.lift(c).series for c in coeffs.values()] == [y.series for y in seeded]
