@@ -304,7 +304,9 @@ def recursion_degrees(c, qt, depth):
 
 def max_recursion_depth(cm, i, bound=DEFAULT_TOWER_BOUND):
     """Largest depth <= MAX_RECURSION_DEPTH whose recursion tower stays
-    within the bound."""
+    within the bound; a bound of None caps nothing."""
+    if bound is None:
+        return MAX_RECURSION_DEPTH
     degrees = list(recursion_degrees(cm.components[i], cm.q_tilde(i), MAX_RECURSION_DEPTH))
     base, *levels = degrees[-MAX_RECURSION_DEPTH - 1:]
     if base > bound:

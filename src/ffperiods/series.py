@@ -15,15 +15,14 @@ its elements supply ``+ - * ** inv`` and ``is_zero()``, which for a tower
 element means "no visible term".  A coefficient that is zero in that sense is
 not stored.
 
-Products over fields with log/exp tables (q <= 2^10) run on plain ints: each
-coefficient is replaced by its discrete log once, the second operand is
-sorted by exponent so the pair loop stops at the output precision, and each
-pair adds one entry of the field's exp table (an element's packed int, whose
-lanes are at least 64 bits wide there) to the sum of its exponent.  A sum
-whose lanes all stay below p is itself an entry and reads off its element;
-the others are reduced mod p once, when the output term is built.  Composition
-adds every scaled power into one such dict.  Other rings use their elements.
-Inversion is Newton iteration, doubling the known precision at every step.
+Products take one path, `_sum_scaled`: each term c T^k of one factor adds
+c T^k times the other into one dict of sums.  Over fields with log/exp tables
+(q <= 2^10) a sum is a plain int, one exp-table entry (an element's packed
+int, lanes of at least 64 bits) per pair, reduced mod p once unless it is an
+entry itself; other rings sum their elements.  Composition adds every scaled
+power into one such dict.  Powers go digit by digit (`_powers_of`), so their
+cost follows the known window, not the size of the exponent.  Inversion is
+Newton iteration, doubling the known precision at every step.
 """
 
 
@@ -129,11 +128,7 @@ class TruncSeries:
     def _common_prec(self, other):
         if other.field is not self.field:
             raise ValueError("series over different coefficient rings")
-        if self.prec is None:
-            return other.prec
-        if other.prec is None:
-            return self.prec
-        return min(self.prec, other.prec)
+        return _min(self.prec, other.prec)
 
     def __add__(self, other):
         if not isinstance(other, TruncSeries):
@@ -164,16 +159,10 @@ class TruncSeries:
         self._common_prec(other)  # the rings must match
         # output precision: min over the unknown-tail contributions
         prec = None
-        if self.prec is not None:
-            lb = other.ord_lower_bound()
-            prec = None if lb is None else self.prec + lb
-        if other.prec is not None:
-            lb = self.ord_lower_bound()
-            p2 = None if lb is None else other.prec + lb
-            prec = p2 if prec is None else min(prec, p2)
-        tables = self.field._packed_tables()
-        if tables is not None:
-            return self._of(self.field, _mul_packed(self, other, prec, *tables), prec)
+        for x, y in ((self, other), (other, self)):
+            lb = y.ord_lower_bound()
+            if x.prec is not None and lb is not None:
+                prec = _min(prec, x.prec + lb)
         scaled = ((c, e, other) for e, c in self.terms.items())
         return self._of(self.field, _sum_scaled(self.field, scaled, prec), prec)
 
@@ -239,20 +228,21 @@ class TruncSeries:
             raise ValueError("compose requires ord(inner) >= 1")
         if self.terms and min(self.terms) < 0:
             raise ValueError("compose is only defined for nonnegative exponents")
-        prec = None
-        if self.prec is not None:
-            lb = inner.ord_lower_bound()
-            prec = None if lb is None else self.prec * max(lb, 1)
-        if inner.prec is not None:
-            prec = inner.prec if prec is None else min(prec, inner.prec)
-        # term-by-term (sparse supports, huge exponents), sharing the powers
-        # inner^(d p^j) the exponents' digits need, summed in one dict
-        # a shared table may reach past prec: only then are the sums cut
-        cut, power = (None, _powers_of(inner, prec)) if power is None else (prec, power)
-        lb = inner.ord_lower_bound()
-        kept = [e for e in sorted(self.terms) if prec is None or lb is None or e * lb < prec]
-        scaled = ((self.terms[e], 0, power(e)) for e in kept)
-        return self._of(self.field, _sum_scaled(self.field, scaled, cut), prec)
+        # the unknown tail of self is O(inner^self.prec); inner's own error
+        # enters (inner + O(T^N))^e at O(T^(N + (e - 1) lb)), first at the
+        # lowest positive exponent of self (the constant term is exact)
+        lb = inner.ord_lower_bound()  # None: inner is the exact zero
+        prec = None if self.prec is None or lb is None else self.prec * max(lb, 1)
+        low = min((e for e in self.terms if e), default=None)
+        if inner.prec is not None and low is not None:
+            prec = _min(prec, inner.prec + lb * (low - 1))
+        if power is None:
+            power = _powers_of(inner, prec)
+        scaled = [(self.terms[e], 0, power(e)) for e in sorted(self.terms)
+                  if prec is None or lb is None or e * lb < prec]
+        for _, _, s in scaled:  # a shared table may be cut below prec
+            prec = _min(prec, s.prec)
+        return self._of(self.field, _sum_scaled(self.field, scaled, prec), prec)
 
     def frobenius_coeffs(self, n=1):
         """Raise every coefficient to its p^n power, exponents unchanged."""
@@ -264,14 +254,6 @@ class TruncSeries:
         if n < 0:
             return self.inv(prec).pow_int(-n, prec)
         return _powers_of(self, prec)(n)
-
-    def _pow_char_p(self):
-        # (f + O(T^N))^p = f^p + O(T^(N + (p-1)*min(ord, N)))
-        p, prec = self.field.p, self.prec
-        if prec is not None:
-            prec += (p - 1) * min(self.ord_lower_bound(), prec)
-        terms = {e * p: c ** p for e, c in self.terms.items()}
-        return self._of(self.field, terms if prec is None else _below(terms, prec), prec)
 
     def derivative(self):
         p = self.field.p
@@ -294,33 +276,66 @@ def _below(terms, prec):
     return dict(terms) if prec is None else {e: c for e, c in terms.items() if e < prec}
 
 
+def _min(a, b):
+    """min, with None as +infinity (an exact series' precision)."""
+    return b if a is None else a if b is None else min(a, b)
+
+
 def _powers_of(base, prec):
     """The map e -> base^e (e >= 0), truncated to prec unless prec is None.
 
-    base^e is the product over the base-p digits d_j of e of base^(d_j p^j),
-    where base^(p^j) comes from char-p powering (coefficient p-th powers and
-    exponent scaling).  Each base^(d p^j) is built once and shared by every
-    later call whose exponent has that digit.
+    With base = T^a (c + g), ord g > 0, base^e = T^(ae) prod_j (c^(p^j) +
+    g^(p^j))^(d_j) over the base-p digits d_j of e; g^(p^j) raises each
+    coefficient to the p^j and scales each exponent by p^j.  The product is
+    known to O(T^w), w = base.prec - a or prec - ae where lower, so a row whose
+    g-part starts at or past w is the constant c^(p^j).  Rows are built straight
+    from base and kept for every later call whose window they cover.
     """
-    def cut(s):
-        return s if prec is None else s.truncate(prec)
+    field, p = base.field, base.field.p
+    one = base.one(field)
+    if not base.terms:  # O(T^n), so base^e = O(T^(ne)); n None: the exact zero
+        n = base.prec
+        return lambda e: base.zero(field, _min(prec, n and n * e)) if e else one
+    a = base.ord()
+    c = base.terms[a]
+    g = sorted((e - a, x) for e, x in base.terms.items() if e != a)
+    rel = None if base.prec is None else base.prec - a
+    rows = {}  # j -> [u, u^2, ...], u = c^(p^j) + g^(p^j) to O(T^window)
 
-    p = base.field.p
-    rows = [[None, cut(base)]]  # rows[j][d] = base^(d p^j)
+    def row(j, pj, d, w):
+        r = rows.get(j)
+        if r is None or _min(r[0].prec, w) != w:  # built for a narrower window
+            terms = {0: c ** pj}
+            for k, x in g:
+                if w is not None and k * pj >= w:
+                    break
+                terms[k * pj] = x ** pj
+            r = rows[j] = [base._of(field, terms, w)]
+        while len(r) < d:
+            r.append(r[-1] * r[0])
+        return r[d - 1]
 
     def power(e):
-        result, j = None, 0
-        while e:
+        if not e:
+            return one
+        shift = a * e
+        w = _min(rel, None if prec is None else prec - shift)
+        if w is not None and w <= 0:
+            return base.zero(field, shift + w)
+        acc, j, pj = None, 0, 1
+        while e and g and (w is None or g[0][0] * pj < w):
             e, d = divmod(e, p)
             if d:
-                while len(rows) <= j:
-                    rows.append([None, cut(rows[-1][1]._pow_char_p())])
-                row = rows[j]
-                while len(row) <= d:
-                    row.append(cut(row[-1] * row[1]))
-                result = row[d] if result is None else cut(result * row[d])
-            j += 1
-        return base.one(base.field) if result is None else result
+                r = row(j, pj, d, w)
+                acc = (r if r.prec == w else r.truncate(w)) if acc is None else acc * r
+            j, pj = j + 1, pj * p
+        if e:  # the constant rows, c^(p^j) for each digit from here on
+            lead = c ** (e * pj)
+            terms = {0: lead} if acc is None else {k: x * lead for k, x in acc.terms.items()}
+        else:
+            terms = acc.terms
+        return base._of(field, {k + shift: x for k, x in terms.items()},
+                        None if w is None else shift + w)
 
     return power
 
@@ -348,25 +363,3 @@ def _sum_scaled(field, scaled, prec=None):
             if prec is None or e < prec:
                 sums[e] = get(e, 0) + exp[lc + log[d.n]]
     return field._unpack_sums(sums)
-
-
-def _mul_packed(a, b, prec, log, exp):
-    """Terms of a * b below prec, from the field's log map and exp table.
-
-    Each coefficient becomes its discrete log once; every pair of terms then
-    costs one table read and one int addition into the packed sum of its
-    exponent, and the field unpacks each sum (one mod p per lane) at the end.
-    """
-    lb = sorted((e, log[c.n]) for e, c in b.terms.items())
-    end = lb[-1][0] + 1 if lb else 0
-    sums = {}
-    get = sums.get
-    for e1, c1 in a.terms.items():
-        l1 = log[c1.n]
-        stop = end if prec is None else prec - e1
-        for e2, l2 in lb:
-            if e2 >= stop:
-                break
-            e = e1 + e2
-            sums[e] = get(e, 0) + exp[l1 + l2]
-    return a.field._unpack_sums(sums)

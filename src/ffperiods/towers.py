@@ -253,11 +253,14 @@ class LocalFieldTower:
             w = w - c
         if not w.terms:  # no term known (prec <= m): nothing worth a memo entry
             return w
-        # seed the lifts' memo: a fresh _subst of a_j stops at w's prec when a_j
-        # has terms, and vals[j] already stops where a_j's own prec makes it
+        # seed the lifts' memo: a fresh _subst of a_j stops at w.prec + (low - 1)
+        # ord w, low the lowest positive exponent of a_j, and vals[j] already
+        # stops where a_j's own prec and the target make it
         for j, cj in coeffs.items():
             s = cj.series
-            self._subst_memo[s, w, prec] = vals[j].truncate(w.prec) if s.terms else vals[j]
+            low = min((e for e in s.terms if e), default=None)
+            self._subst_memo[s, w, prec] = (
+                vals[j] if low is None else vals[j].truncate(w.prec + (low - 1) * w.ord()))
         return w
 
     def lift(self, elem, prec=None):

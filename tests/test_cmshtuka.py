@@ -181,6 +181,19 @@ def test_choice_independence_under_rescale():
             rescaled_period(cm, phi, psi, 1, rescale)) == base_cross
 
 
+def test_omega_period_without_a_bound_runs_to_the_deepest_depth():
+    # bound=None caps nothing, so the default depth is MAX_RECURSION_DEPTH
+    cm = single_cm(3, 1, 2)
+    phi, psi = cm.embeddings()
+    assert max_recursion_depth(cm, 0, None) == cmshtuka.MAX_RECURSION_DEPTH
+    got = omega_period(cm, phi, psi, bound=None)
+    ref = omega_period(cm, phi, psi, depth=cmshtuka.MAX_RECURSION_DEPTH, bound=None)
+    assert len(got.term_valuations) == cmshtuka.MAX_RECURSION_DEPTH + 1
+    assert got.term_valuations == ref.term_valuations
+    assert got.tower.degree() == ref.tower.degree()
+    assert period_valuation_series(got) == omega_valuation_closed(cm, phi, psi)
+
+
 def test_mixed_component_error():
     cm = CMAlgebra(2, [CMComponent(1, 1), CMComponent(1, 1)])
     with pytest.raises(MixedComponentError):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffperiods.fields import FqField
-from ffperiods.series import InsufficientPrecisionError, TruncSeries
+from ffperiods.series import InsufficientPrecisionError, TruncSeries, _powers_of
 
 F2 = FqField(2, 1)
 F3 = FqField(3, 1)
@@ -204,7 +204,8 @@ def power_by_repeated_products(x, e):
 
 def compose_by_powers(f, inner, prec):
     """f(inner) as the sum of c * inner.pow_int(e), each power built on its
-    own (pow_int itself is checked against plain products below)."""
+    own (pow_int itself is checked against plain products below), to the
+    lowest of prec and the powers' own precisions."""
     acc = TruncSeries.zero(f.field, prec)
     for e, c in f.terms.items():
         term = inner.pow_int(e).scale(c)
@@ -239,12 +240,11 @@ def test_compose_matches_sum_of_powers(field, outer, inner_terms, outer_prec, in
     inner = TruncSeries(field, {e: elem_of_code(field, c % field.q or 1)
                                 for e, c in inner_terms.items()}, inner_prec)
     h = f.compose(inner)
-    lb = inner.ord_lower_bound()
-    prec = None if f.prec is None else f.prec * lb
-    if inner.prec is not None:
-        prec = inner.prec if prec is None else min(prec, inner.prec)
-    assert h.prec == prec
-    assert h.terms == compose_by_powers(f, inner, prec).terms
+    # f's unknown tail is O(inner^f.prec); each power (inner + O(T^N))^e is
+    # known to O(T^(N + (e - 1) ord inner)), so the lowest positive exponent
+    # of f bounds what inner's error leaves
+    tail = None if f.prec is None else f.prec * inner.ord_lower_bound()
+    assert h == compose_by_powers(f, inner, tail)
 
 
 def test_compose_sparse_exponents_with_several_digits():
@@ -254,6 +254,131 @@ def test_compose_sparse_exponents_with_several_digits():
     h = f.compose(inner)
     assert h.prec == 400
     assert h.terms == compose_by_powers(f, inner, 400).terms
+
+
+# -- the digit-wise power rule against the row-by-row chain -------------------
+
+F5 = FqField(5, 1)
+
+
+def chain_powers(base, prec):
+    """Reference for series._powers_of: base^(d p^j) from the row below by
+    one char-p step, (f + O(T^N))^p = f^p + O(T^(N + (p - 1) min(ord, N))),
+    and by repeated products, every row and product cut at prec."""
+    p = base.field.p
+
+    def cut(s):
+        return s if prec is None else s.truncate(prec)
+
+    def char_p(s):
+        n = s.prec
+        if n is not None:
+            n += (p - 1) * min(s.ord_lower_bound(), n)
+        return TruncSeries(s.field, {e * p: c ** p for e, c in s.terms.items()}, n)
+
+    rows = [[None, cut(base)]]  # rows[j][d] = base^(d p^j)
+
+    def power(e):
+        result, j = None, 0
+        while e:
+            e, d = divmod(e, p)
+            if d:
+                while len(rows) <= j:
+                    rows.append([None, cut(char_p(rows[-1][1]))])
+                row = rows[j]
+                while len(row) <= d:
+                    row.append(cut(row[-1] * row[1]))
+                result = row[d] if result is None else cut(result * row[d])
+            j += 1
+        return TruncSeries.one(base.field) if result is None else result
+
+    return power
+
+
+@st.composite
+def power_cases(draw):
+    """A sparse base (exact, inexact or with no term) over a field or the
+    tower, an exponent up to p^41 (small and dense in digits, or a few digits
+    d p^j with j <= 40), and a cut or none."""
+    field = draw(st.sampled_from([F2, F3, F5, F2_11, F9, TOWER_F3]))
+    p = field.p
+    if field is TOWER_F3:  # tower elements, exact or inexact
+        def coeff():
+            return field.element(draw(st.dictionaries(st.integers(-1, 4), st.integers(1, 2),
+                                                      min_size=1, max_size=3)),
+                                 draw(st.one_of(st.none(), st.integers(5, 9))))
+    else:
+        def coeff():
+            return elem_of_code(field, draw(st.integers(1, field.q - 1)))
+    low = draw(st.sampled_from([0, 1, 1, 2, 3, -2]))
+    exps = [] if draw(st.integers(0, 5)) == 0 else draw(
+        st.lists(st.integers(low, low + 12), min_size=1, max_size=4, unique=True))
+    prec = draw(st.one_of(st.none(), st.integers(low + 1, low + 30)))
+    if not exps and prec is not None:
+        prec = draw(st.integers(-2, 8))
+    base = TruncSeries(field, {e: coeff() for e in exps}, prec)
+    if draw(st.booleans()):
+        e = draw(st.integers(0, 3 * p * p))
+    else:
+        e = sum(draw(st.integers(1, p - 1)) * p ** draw(st.integers(0, 40))
+                for _ in range(draw(st.integers(1, 3))))
+    cut = draw(st.one_of(st.none(), st.integers(0, 60)))
+    if prec is None and cut is None and len(exps) > 1:
+        e %= p ** 8  # an exact power has (number of terms)^(digit sum) terms
+    return base, e, cut
+
+
+def same_series(a, b):
+    """Equal terms and prec, tower coefficients compared by their series."""
+    def data(s):
+        return s.prec, {e: getattr(c, "series", c) for e, c in s.terms.items()}
+    return data(a) == data(b)
+
+
+@given(power_cases())
+@settings(max_examples=300, deadline=None)
+def test_powers_match_the_row_by_row_chain(case):
+    base, e, cut = case
+    got, ref = _powers_of(base, cut)(e), chain_powers(base, cut)(e)
+    if not same_series(got, ref):
+        # below ord 0 the chain's cuts drop terms that later products need:
+        # the closed form may claim more, never less, and agrees below ref.prec
+        assert (base.ord_lower_bound() or 0) < 0
+        assert ref.prec is not None and (got.prec is None or got.prec >= ref.prec)
+        assert same_series(got.truncate(ref.prec), ref)
+
+
+@pytest.mark.parametrize("field", [F2, F3, F5, F2_11], ids=repr)
+@pytest.mark.parametrize("prec, window", [(None, None), (30, None), (None, 50), (30, 50)])
+def test_deep_powers_make_a_bounded_number_of_products(monkeypatch, field, prec, window):
+    # 3 terms, cut (if at all) 50 above the power's ord: p^40 spreads one row
+    # with no product, and an exponent with every digit p - 1 multiplies only
+    # the rows whose g-part starts below the window, however many digits
+    mul, calls = TruncSeries.__mul__, []
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(TruncSeries, "__mul__", counted)
+    base = TruncSeries(field, {1: 1, 2: -1, 4: 1}, prec)
+    p = field.p
+
+    def power(e):
+        return _powers_of(base, None if window is None else e + window)(e)
+
+    big = power(p ** 40)
+    assert big.ord() == p ** 40 and not calls
+    if prec is None and window is None:
+        assert len(big.terms) == 3
+        return  # an exact all-digit power has 3^(digit sum) terms
+    assert len(big.terms) == 1  # the window ends below the g-part's p^40 T^40
+    counts = []
+    for digits in (41, 81):
+        calls.clear()
+        assert power(p ** digits - 1).ord() == p ** digits - 1
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 6 * (p - 1)
 
 
 def reduce_lanes(field, v):

@@ -832,6 +832,18 @@ def test_lift_at_two_precisions_truncates_correctly(q_v, m, terms, p1, p2):
         assert y.series == top2.lift(base2.element(terms), p).series
 
 
+def test_lift_of_a_better_known_input_claims_no_less():
+    # X^2 + O(z) X - z over F_2: w = T^2 + O(T^3), and (w + O(T^3))^2 is
+    # known to O(T^5), so z^2 lifts past the O(T^4) that O(z^2) lifts to
+    base = LocalFieldTower.base(2)
+    z = base.uniformizer()
+    top = base.extend_eisenstein({0: -z, 1: base.zero(1)}, degree=2)
+    assert top._prev_uniformizer(top.prec) == TruncSeries(top.residue, {2: 1}, 3)
+    assert top.lift(base.zero(2)).series == TruncSeries.zero(top.residue, 4)
+    assert top.lift(z * z).series == TruncSeries(top.residue, {4: 1}, 5)
+    assert top.lift(z.pow(3)).series == TruncSeries(top.residue, {6: 1}, 7)
+
+
 @pytest.mark.parametrize("target", [1, 2, 7, 8, 9, 20])
 def test_lift_negative_exponent_to_full_target(target):
     # X^4 + z^2 X + z over F_2: 1 + z^-1 lifts to O(T^target) at every
