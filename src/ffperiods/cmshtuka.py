@@ -396,11 +396,11 @@ def _evaluation_series(fam, cm, psi, pi, w_prec, sigma_power):
 
 
 def _zeta_minus_z_series(tower, cm, psi, pi, w_prec):
-    """z - zeta = (psi(y) + w)^e - psi(y)^e as an exact polynomial in w."""
+    """z - zeta = (psi(y) + w)^e - psi(y)^e in w, built only to O(w^w_prec)."""
     e = cm.components[psi.i].e
     psi_y = embedding_value(tower, cm, psi, pi)
     terms = {}
-    for r in range(1, e + 1):
+    for r in range(1, min(e, w_prec - 1) + 1):
         b = _binom_mod_p(tower, e, r)
         if b.is_zero():
             continue
@@ -408,7 +408,7 @@ def _zeta_minus_z_series(tower, cm, psi, pi, w_prec):
         if e - r:
             c = c * psi_y.pow(e - r)
         terms[r] = c
-    return TruncSeries(tower, terms)
+    return TruncSeries(tower, terms, w_prec)
 
 
 def _omega_w_series(fam, cm, phi, psi, w_prec, pi):
@@ -443,13 +443,13 @@ def _omega_w_series(fam, cm, phi, psi, w_prec, pi):
 
 
 def _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec):
-    """Re-expand a w-series in powers of u = z - zeta.  Also returns dz/dy at
-    psi (the linear coefficient of z - zeta in w), or None when e = 1."""
+    """Re-expand a w-series in powers of u = z - zeta.  Also returns dy/dz at
+    psi (the linear coefficient of w in u), or None when e = 1."""
     if cm.components[psi.i].e == 1:
         return w_series, None
     zmz = _zeta_minus_z_series(tower, cm, psi, pi, w_prec + 1)
     w_of_u = reversion(zmz, w_prec + 1, tower)
-    return w_series.compose(w_of_u.truncate(w_prec)), zmz.coeff(1)
+    return w_series.compose(w_of_u.truncate(w_prec)), w_of_u.coeff(1)
 
 
 def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND):
@@ -496,9 +496,9 @@ def _omega_from_family(fam, cm, phi, psi):
     pi = family_uniformizer(fam, cm, phi)
     hat = int(phi == psi)
     w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1, pi)
-    head, dz_dy = _to_zeta_coordinates(tower, cm, psi, pi, w_head, hat + 1)
-    if dz_dy is not None and hat:
-        leading = leading * dz_dy.inv().pow(hat)
+    head, dy_dz = _to_zeta_coordinates(tower, cm, psi, pi, w_head, hat + 1)
+    if dy_dz is not None and hat:
+        leading = leading * dy_dz.pow(hat)
 
     def expand():
         w_series = _omega_w_series(fam, cm, phi, psi, w_prec, pi)[0]

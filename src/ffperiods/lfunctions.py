@@ -66,7 +66,7 @@ class LocalGaloisDatum:
       compose(g, h), inverse(g) -- group structure (for conjugation)
     """
 
-    def __init__(self, q_v, elements, inertia, e, f, frob_class, mu_map, compose, inverse,
+    def __init__(self, q_v, elements, inertia, e, f, frob_class, mu_of, compose, inverse,
                  identity):
         self.q_v = q_v
         self.elements = list(elements)
@@ -74,7 +74,8 @@ class LocalGaloisDatum:
         self.e = e
         self.f = f
         self._frob_class = frob_class
-        self._mu = mu_map
+        self._mu_of = mu_of  # g -> mu(g), None where unknown
+        self._mu = {}  # mu_of's values, each asked once
         self._compose = compose
         self._inverse = inverse
         self.identity = identity
@@ -87,12 +88,22 @@ class LocalGaloisDatum:
     def tame(cls, q_v, f, e):
         """The Galois closure of the tame extension with invariants (f, e),
         e | q_v^f - 1: elements (a mod f, k mod e), inertia a = 0, mu from
-        the explicit Kummer tower X^e - z over the unramified base."""
+        the explicit Kummer tower X^e - z over the unramified base, built
+        with each mu(g) on its first ask (off inertia mu is 0: no tower)."""
         if e < 1 or e > 1 and (q_v ** f - 1) % e != 0:
             raise ValueError("tame datum needs e >= 1 with e | q_v^f - 1")
-        tower = LocalFieldTower.tame(q_v, f, e)
+        if f < 1:
+            raise ValueError("unramified degree must be >= 1")
+        towers = []
+
+        def mu_of(g):
+            if g.a:
+                return Fraction(0)
+            if not towers:
+                towers.append(LocalFieldTower.tame(q_v, f, e))
+            return mu_value(towers[0], g)
+
         elements = tame_group(q_v, f, e)
-        mu_map = {g: mu_value(tower, g) for g in elements}
         return cls(
             q_v,
             elements,
@@ -100,7 +111,7 @@ class LocalGaloisDatum:
             e,
             f,
             lambda g: g.a % f,
-            mu_map,
+            mu_of,
             lambda g, h: g * h,
             lambda g: g.inverse(),
             TameAut(0, 0, f, e, q_v),
@@ -158,7 +169,7 @@ class LocalGaloisDatum:
                 mu_map[g] = Fraction(0)
             else:
                 mu_map[g] = Fraction(mu[g]) if g in mu else None
-        return cls(q_v, elements, inertia, e, f, frob_class, mu_map, compose, inverse,
+        return cls(q_v, elements, inertia, e, f, frob_class, mu_map.__getitem__, compose, inverse,
                    identity)
 
     # -- accessors -------------------------------------------------------------
@@ -167,6 +178,8 @@ class LocalGaloisDatum:
         return self._frob_class(g) % self.f
 
     def mu(self, g):
+        if g not in self._mu:
+            self._mu[g] = self._mu_of(g)
         v = self._mu[g]
         if v is None:
             raise MissingMuError("mu value missing for %r" % (g,))
@@ -274,8 +287,11 @@ def z_v_rational(datum, a):
 
 
 def z_v_at_one(datum, a):
-    """Z_v(a, 1): the rational function evaluated at x = 1/q_v."""
-    return z_v_rational(datum, a).evaluate(Fraction(1, datum.q_v))
+    """Z_v(a, 1) = (1/e_L) sum_r S_r x^r / (1 - x^f) at x = 1/q_v, as
+    z_v_rational resums it: a(g) enters S_r for r = its class, f for class 0."""
+    f, x = datum.f, Fraction(1, datum.q_v)
+    num = sum(v * x ** (datum.frobenius_class(g) or f) for g in datum.elements if (v := a(g)))
+    return num / (datum.e * (1 - x ** f))
 
 
 def mu_art_v(datum, a):

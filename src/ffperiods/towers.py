@@ -220,10 +220,13 @@ class LocalFieldTower:
         """Solve F(w) = pi^m + sum_j a_j(w) pi^j = 0 for the previous
         uniformizer w by Newton's method, w <- w - c with c = F(w)/F'(w), from
         the exact w = -pi^m/c_1, c_1 the pi_old coefficient of a_0, so F'(w) =
-        c_1 mod pi is a unit.  ord F(w) = ord c is the order of w's error: it
-        must grow at every step, and doubles.  The last step seeds the lifts'
-        memo with a_j(w - c) = a_j(w) - a_j'(w) c, exact mod T^prec once
-        2 ord c >= prec.
+        c_1 mod pi is a unit.  ord F(w) = ord c = k is the order of w's error:
+        it must grow at every step, and doubles.  A step before the last needs
+        F'(w)^-1 only mod T^k to make w right mod T^(2k), so it substitutes
+        a_j' to that precision and carries w - c, cut at 2k, as exact (as
+        `inv` does).  The last step, 2k >= prec, takes F'(w) to T^(prec - k)
+        and seeds the lifts' memo with a_j(w - c) = a_j(w) - a_j'(w) c, exact
+        mod T^prec.
         """
         assert self.step is not None and self.step[0] == "eisenstein"
         coeffs, m = self.step[1], self.step[2]
@@ -244,13 +247,14 @@ class LocalFieldTower:
             if k <= last:
                 raise NonConvergenceError("re-expansion error stuck at order %d" % k)
             last = k
-            dvals = {j: _subst(cj.series.derivative(), w, prec - k, power)
-                     for j, cj in coeffs.items()}
+            done = 2 * k >= prec  # F'(w) pi^j to T^(prec - k) on the last step, else to T^k
+            dvals = {j: _subst(cj.series.derivative(), w, prec - k if done else k - min(j, 0),
+                               power) for j, cj in coeffs.items()}
             c = f * sum((v.shift(j) for j, v in dvals.items() if j), dvals[0]).inv()
-            if 2 * k >= prec:
+            if done:
                 w, vals = (w - c).truncate(prec), {j: v - dvals[j] * c for j, v in vals.items()}
                 break
-            w = w - c
+            w = TruncSeries._of(self.residue, (w - c).truncate(2 * k).terms, None)
         if not w.terms:  # no term known (prec <= m): nothing worth a memo entry
             return w
         # seed the lifts' memo: a fresh _subst of a_j stops at w.prec + (low - 1)

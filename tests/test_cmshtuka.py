@@ -7,6 +7,7 @@ from ffperiods import cmshtuka
 from ffperiods.cmshtuka import (
     CANONICAL,
     PRECISION_UNITS,
+    RecursionFamily,
     AmbiguousLeadingTermError,
     CMAlgebra,
     CMComponent,
@@ -36,7 +37,7 @@ from ffperiods.cmshtuka import (
 )
 from ffperiods.fields import FqField
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
-from ffperiods.towers import LocalFieldTower
+from ffperiods.towers import LocalFieldTower, TowerElem
 from paper_checks import rescaled_period
 
 
@@ -650,8 +651,8 @@ def test_expansion_disagreeing_with_head_raises_on_first_access(monkeypatch):
     to_zeta = cmshtuka._to_zeta_coordinates
 
     def shifted(tower, cm, psi, pi, w_series, w_prec):
-        series, dz_dy = to_zeta(tower, cm, psi, pi, w_series, w_prec)
-        return series.scale(tower.uniformizer()), dz_dy
+        series, dy_dz = to_zeta(tower, cm, psi, pi, w_series, w_prec)
+        return series.scale(tower.uniformizer()), dy_dz
 
     for cm, phi, psi, depth in _grid_pairs():
         pe = omega_period(cm, phi, psi, depth=depth)  # the head agrees with itself
@@ -750,3 +751,31 @@ def test_one_reexpansion_per_eisenstein_step(monkeypatch):
         assert len(steps) == depth, (cm.q_v, phi)
         assert Counter(t for t, _ in solves if not _pure_kummer(t)) == Counter(steps)
         assert all(p == t.prec for t, p in solves)
+
+
+# -- the strength of the recursion check at one unit of precision ---------------------
+
+
+@pytest.mark.parametrize("q_v, f, e", [(2, 1, 1), (3, 1, 2), (2, 2, 1), (4, 1, 3)])
+def test_verify_tau_property_refuses_a_twist_and_a_last_order_error(q_v, f, e):
+    # at omega_period's one unit: a twist of every l_n by a unit u reads True
+    # iff u^qt = u (u in mu_(qt-1)), and an error at l_1's last known order
+    # breaks the relation l_2^qt + xi l_2 = l_1
+    cm = CMAlgebra(q_v, [CMComponent(f, e)])
+    phi = cm.embeddings()[-1]
+    fam = recursion_family(cm, phi, 2, units=PRECISION_UNITS[0])
+    assert fam.verify_tau_property()
+    tower, qt = fam.tower, fam.q_tilde
+
+    def with_ells(ells):
+        return RecursionFamily(tower, fam.xi, qt, ells)
+
+    root = tower.from_residue(tower.residue.root_of_unity(qt - 1))
+    for unit, inside in ((root, True), (tower.one() + tower.uniformizer(), False),
+                         (tower.one() + tower.uniformizer().pow(5), False)):
+        assert with_ells([unit * ell for ell in fam.ells]).verify_tau_property() is inside
+    l1 = fam.ells[1].series
+    last = TruncSeries.monomial(tower.residue, l1.prec - 1, prec=l1.prec)
+    ells = list(fam.ells)
+    ells[1] = TowerElem(tower, l1 + last)
+    assert not with_ells(ells).verify_tau_property()

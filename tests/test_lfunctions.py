@@ -1,7 +1,17 @@
+import os
+import sys
 from fractions import Fraction
 
 import pytest
 
+from ffperiods.cmshtuka import (
+    CMAlgebra,
+    CMComponent,
+    Embedding,
+    omega_period,
+    omega_valuation_closed,
+    omega_valuation_via_L,
+)
 from ffperiods.fields import FqField, factor_prime_power, monic_irreducibles
 from ffperiods.lfunctions import (
     ClassFunctionQ,
@@ -22,7 +32,7 @@ from ffperiods.lfunctions import (
     zeta_closed_forms,
 )
 from ffperiods.ratfunc import PoleOrZeroError, QPoly, RatFunc
-from ffperiods.towers import TameAut
+from ffperiods.towers import LocalFieldTower, TameAut, mu_value
 from paper_checks import lemma_pair_check, pair_z_closed_form
 
 
@@ -272,3 +282,62 @@ def test_a0_equals_a_for_abelian_data():
         values = {TameEmbedding(j, k, f, e): j + k + 1 for j in range(f) for k in range(e)}
         a, a0 = cm_characters(d, values, psi)
         assert a0.values == a.values
+
+
+# -- the tame datum builds its tower, and each mu, on demand -------------------------
+
+
+def _omega_deep_data():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sys.path.append(os.path.join(root, "bench"))
+    from workloads import tame_data
+    return tame_data()
+
+
+@pytest.fixture
+def tame_builds(monkeypatch):
+    """The (q_v, f, e) of every LocalFieldTower.tame call, in order."""
+    built = []
+    tame = LocalFieldTower.tame.__func__
+
+    def spy(cls, *args, **kw):
+        built.append(args)
+        return tame(cls, *args, **kw)
+
+    monkeypatch.setattr(LocalFieldTower, "tame", classmethod(spy))
+    return built
+
+
+def test_lazy_tame_datum_matches_an_eager_mu_map():
+    # every tame datum of the omega-deep pool, the trivial character and every
+    # indicator pair: Z_v(a, 1) is the rational function's value at 1/q_v, and
+    # mu_Art,v(a) reads mu from a tower built for every element up front
+    for q_v, f, e in _omega_deep_data():
+        datum = LocalGaloisDatum.tame(q_v, f, e)
+        tower = LocalFieldTower.tame(q_v, f, e)
+        mu = {g: mu_value(tower, g) for g in datum.elements}
+        embeddings = [TameEmbedding(j, k, f, e) for j in range(f) for k in range(e)]
+        chars = [ClassFunctionQ.trivial(datum)] + [
+            indicator_pair_function(datum, phi, psi) for phi in embeddings for psi in embeddings]
+        for a in chars:
+            assert z_v_at_one(datum, a) == z_v_rational(datum, a).evaluate(Fraction(1, q_v))
+            assert mu_art_v(datum, a) == sum(a(g) * mu[g] for g in datum.elements)
+
+
+@pytest.mark.parametrize("q_v, f, e", [(3, 0, 2), (2, 0, 1), (3, -1, 2), (2, -2, 1),
+                                       (3, 1, 4), (2, 2, 5), (4, 1, 0)])
+def test_tame_datum_refuses_bad_invariants_before_any_tower(tame_builds, q_v, f, e):
+    with pytest.raises(ValueError):
+        LocalGaloisDatum.tame(q_v, f, e)
+    assert tame_builds == []
+
+
+def test_omega_off_the_diagonal_residue_part_builds_one_tower(tame_builds):
+    # phi.j != psi.j: the indicator lies off inertia, so the L-route asks mu
+    # only where it is 0 and builds no tower; the series route builds one
+    cm = CMAlgebra(2, [CMComponent(2, 3)])
+    phi, psi = Embedding(0, 0, 1), Embedding(0, 1, 2)
+    assert omega_valuation_via_L(cm, phi, psi) == omega_valuation_closed(cm, phi, psi)
+    assert tame_builds == []
+    omega_period(cm, phi, psi)
+    assert tame_builds == [(2, 2, 3)]

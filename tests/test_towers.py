@@ -185,7 +185,9 @@ def test_component_and_galois_towers_share_the_tame_builder(monkeypatch):
 
     monkeypatch.setattr(LocalFieldTower, "tame", classmethod(spy))
     component_tower(CMAlgebra(3, [CMComponent(1, 2)]), 0)
-    LocalGaloisDatum.tame(3, 1, 2)
+    datum = LocalGaloisDatum.tame(3, 1, 2)
+    assert built == [(3, 1, 2)]  # the datum builds its tower on the first inertia mu
+    datum.mu(TameAut(0, 1, 1, 2, 3))
     assert built == [(3, 1, 2), (3, 1, 2)]
 
 
@@ -906,3 +908,80 @@ def test_lift_through_the_seeded_memo_equals_a_fresh_substitution(data, units):
     seeded = [top.lift(c) for c in coeffs.values()]
     top._subst_memo.clear()
     assert [top.lift(c).series for c in coeffs.values()] == [y.series for y in seeded]
+
+
+def reexpand_at_full_precision(tower, prec):
+    """The re-expansion with every Newton step at the working precision: F'(w)
+    to T^(prec - k) and w carried at its own precision.  Returns the root and
+    the memo seeds {series: seed} the re-expansion would make."""
+    coeffs, m = tower.step[1], tower.step[2]
+    res, a0 = tower.residue, coeffs[0].series
+    w, last = TruncSeries.monomial(res, m, -a0.terms[1].inv()), 0
+    if len(coeffs) == 1 and a0.prec is None and len(a0.terms) == 1:
+        return w, {}
+    while True:
+        power = towers._powers_of(w, prec)
+        vals = {j: towers._subst(cj.series, w, prec, power) for j, cj in coeffs.items()}
+        f = sum((v.shift(j) for j, v in vals.items()), TruncSeries.monomial(res, m))
+        if not f.terms:
+            w = w.truncate(f.prec)
+            break
+        k = f.ord()
+        assert k > last, "the error stopped growing"
+        last = k
+        dvals = {j: towers._subst(cj.series.derivative(), w, prec - k, power)
+                 for j, cj in coeffs.items()}
+        c = f * sum((v.shift(j) for j, v in dvals.items() if j), dvals[0]).inv()
+        if 2 * k >= prec:
+            w, vals = (w - c).truncate(prec), {j: v - dvals[j] * c for j, v in vals.items()}
+            break
+        w = w - c
+    if not w.terms:
+        return w, {}
+    seeds = {}
+    for j, cj in coeffs.items():
+        low = min((e for e in cj.series.terms if e), default=None)
+        seeds[cj.series] = (vals[j] if low is None
+                            else vals[j].truncate(w.prec + (low - 1) * w.ord()))
+    return w, seeds
+
+
+@st.composite
+def recursion_steps(draw):
+    """X^qt + xi X - l over F_{q_v}((z)): l of order 1, xi of positive order,
+    each sparse or dense, exact or known to a drawn precision.  A coefficient
+    is drawn as its index in the field's code order."""
+    q_v = draw(st.sampled_from([2, 3, 9]))
+    qt = q_v ** draw(st.integers(min_value=1, max_value=2 if q_v < 9 else 1))
+    unit = st.integers(min_value=1, max_value=q_v - 1)
+
+    def series(low):
+        top = low + draw(st.sampled_from([1, 2, 12]))  # sparse or dense
+        terms = {low: draw(unit)}
+        terms.update({e: draw(st.integers(0, q_v - 1)) for e in range(low + 1, top)
+                      if draw(st.booleans())})
+        return terms, draw(st.sampled_from([None, top, top + 5]))
+
+    return q_v, qt, series(1), series(draw(st.integers(min_value=1, max_value=3)))
+
+
+@given(recursion_steps(), st.integers(min_value=1, max_value=80))
+@example(data=(2, 2, ({1: 1, 2: 1}, None), ({1: 1}, None)), prec=7)  # 2k = prec - 1
+@settings(max_examples=80, deadline=None)
+def test_reexpansion_steps_at_delivered_precision_match_full_precision(data, prec):
+    # Newton steps before the last run only to the precision they deliver;
+    # the root and the memo seeds must be what full-precision steps give
+    q_v, qt, (l_terms, l_prec), (xi_terms, xi_prec) = data
+    base = LocalFieldTower.base(q_v)
+    codes = list(base.residue.elements())
+
+    def element(terms, known):
+        return base.element({e: codes[i] for e, i in terms.items()}, known)
+
+    step = {0: -element(l_terms, l_prec), 1: element(xi_terms, xi_prec)}
+    top = base.extend_eisenstein(step, degree=qt)
+    for target in (prec, top.prec):
+        top._subst_memo.clear()
+        root, seeds = reexpand_at_full_precision(top, target)
+        assert top._reexpand(target) == root
+        assert {s: v for (s, _, p), v in top._subst_memo.items() if p == target} == seeds
