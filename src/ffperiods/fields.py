@@ -6,8 +6,8 @@ defining polynomial, packed lane by lane in the field's `_Ring`, a packed-int
 kernel for F_p[x]/(m) (Kronecker products, extended Euclid, a linear p-th
 power map).  The defining polynomial is always the lexicographically smallest
 monic irreducible of degree k over F_p, so the same (p, k) yields the same
-field in every run.  Addition is lane-wise: XOR when p = 2, an int sum reduced
-mod p otherwise.
+field in every run (found by Rabin's test, in rings sharing one lane layout).
+Addition is lane-wise: XOR when p = 2, an int sum reduced mod p otherwise.
 
 Fields with q <= 2^10 build, when they are made, a log map from element ints
 to discrete logs, one doubled exp table of ints and their elements by log;
@@ -20,14 +20,14 @@ is the first element in code order of order q - 1.
 
 `PolyFq` is the one dense polynomial class: it asks its coefficient field
 only for `elem`, `zero` and `one`, so the same code runs over an FqField and
-over the rationals.  Its root scan `first_root` finds the canonical
-embeddings' images and the A-motive residue roots.
+over the rationals.  `first_root`, a split by equal degree, gives canonical
+embeddings and A-motive residue roots the root of smallest code.
 """
 
 import math
 import struct
 from functools import lru_cache
-from itertools import compress, product
+from itertools import chain, compress, product
 
 
 class FieldMismatchError(ValueError):
@@ -53,6 +53,33 @@ def factor_prime_power(q):
     return p, k
 
 
+@lru_cache(maxsize=None)
+def _lanes(p, k, min_bytes):
+    """The lane layout of `_Ring` that every monic modulus of degree k shares."""
+    # largest lane value: for p = 2 a count <= k (parities taken after each
+    # step: one byte below k = 256, where the odd-p bound takes four and ran
+    # 2^18 arithmetic 2-3x slower), else `mul`'s reduced sum or p^2 (Euclid)
+    a = k * (p - 1) ** 2
+    v = (k if p == 2 else max(a + k * k * a * (p - 1) ** 2, p * p)).bit_length()
+    shift = v + p.bit_length()
+    b = max(-(-(v if p == 2 else v + shift) // 8), min_bytes)
+    b = next((c for c in (1, 2, 4, 8) if c >= b), b)
+    w = 8 * b
+
+    def repunit(lanes, lane):
+        return lane * ((1 << (w * lanes)) - 1) // ((1 << w) - 1)
+    lay = dict(p=p, k=k, _w=w, _shift=shift, _wk=w * k, _wk2=w * max(k - 2, 0),
+               _magic=-(-(1 << shift) // p),  # n // p = n * magic >> shift, n < 2^v
+               _low=repunit(k, (1 << w) - 1), _ones=repunit(2 * k, 1), _low_ones=repunit(k, 1),
+               # a lane above 8 bytes keeps its coefficient (< p < 2^64) in the low 8
+               _struct=struct.Struct("<" + ("%d%s" % (k, "BHIQ"[b.bit_length() - 1]) if b <= 8
+                                            else ("Q%dx" % (b - 8)) * k)))
+    if p != 2:
+        lay["_qmask"] = repunit(2 * k, (1 << (w - shift)) - 1)
+        lay["_p_low_ones"] = p * lay["_low_ones"]  # a + this - b borrows nowhere
+    return lay
+
+
 class _Ring:
     """F_p[x]/(m) for a monic m of degree k, on packed ints.
 
@@ -63,43 +90,27 @@ class _Ring:
     the exact polynomial Barrett quotient floor(floor(c / x^k) mu / x^(k-2)),
     mu = floor(x^(2k-2) / m), then mod p lane by lane: the parity bits for
     p = 2 (a carry-less product), a multiply-shift quotient otherwise.  The
-    p-th power map is F_p-linear and is kept as its rows x^(p i) mod m.
-    `min_bytes` widens the lanes (a table field takes 8, see `FqField`).
+    p-th power map is F_p-linear and is kept as its rows x^(p i) mod m (no
+    `frob` if `rows` is false).  `min_bytes` widens the lanes (a table field
+    takes 8, see `FqField`).
     """
 
-    def __init__(self, p, m, min_bytes=1):
-        k = self.k = len(m) - 1
-        self.p = p
-        # largest lane value: for p = 2 a count <= k (parities taken after each
-        # step: one byte below k = 256, where the odd-p bound takes four and ran
-        # 2^18 arithmetic 2-3x slower), else `mul`'s reduced sum or p^2 (Euclid)
-        a = k * (p - 1) ** 2
-        v = (k if p == 2 else max(a + k * k * a * (p - 1) ** 2, p * p)).bit_length()
-        self._shift = v + p.bit_length()
-        self._magic = -(-(1 << self._shift) // p)  # n // p = n * magic >> shift, n < 2^v
-        b = max(-(-(v if p == 2 else v + self._shift) // 8), min_bytes)
-        b = next((c for c in (1, 2, 4, 8) if c >= b), b)
-        w = self._w = 8 * b
-        # a lane above 8 bytes keeps its coefficient (< p < 2^64) in the low 8
-        self._struct = struct.Struct(
-            "<" + ("%d%s" % (k, "BHIQ"[b.bit_length() - 1]) if b <= 8 else ("Q%dx" % (b - 8)) * k))
-        self._wk, self._wk2 = w * k, w * max(k - 2, 0)
-
-        def repunit(lanes, lane):
-            return lane * ((1 << (w * lanes)) - 1) // ((1 << w) - 1)
-        self._low, self._ones, self._low_ones = repunit(k, (1 << w) - 1), repunit(2 * k, 1), repunit(k, 1)
-        if p != 2:
-            self._qmask = repunit(2 * k, (1 << (w - self._shift)) - 1)
-            self._p_low_ones = p * self._low_ones  # a + this - b borrows nowhere
+    def __init__(self, p, m, min_bytes=1, rows=True):
+        k = len(m) - 1
+        for name, value in _lanes(p, k, min_bytes).items():  # not __dict__, which would
+            setattr(self, name, value)  # cost the hot paths their fast attribute reads
+        w = self._w
         self._m = self.pack(m[:k]) + (1 << self._wk)
         self._mneg = self.pack([-c % p for c in m[:k]])  # x^k mod m
-        rem, mu = [0] * (2 * k - 2) + [1], [0] * k
-        for j in range(2 * k - 2, k - 1, -1):  # x^(2k-2) divided by m
-            mu[j - k] = t = rem[j]
-            for i in range(k + 1):
-                rem[j - k + i] = (rem[j - k + i] - t * m[i]) % p
-        self._mu = self.pack(mu)
+        rem, self._mu, top = 1 << w * (2 * k - 2), 0, (1 << w) - 1
+        for j in range(k - 2, -1, -1):  # x^(2k-2) divided by m, lane by lane
+            t = rem >> w * (k + j) & top
+            if t:
+                self._mu |= t << w * j
+                rem = self._lanes_mod(rem + ((p - t) * self._m << w * j))
         self.x = 1 << w if k > 1 else 0
+        if not rows:
+            return
         self._frob, xp, e, base = [1], 1, p, self.x  # x^p by squaring
         while e:
             xp, base, e = self.mul(xp, base) if e & 1 else xp, self.mul(base, base), e >> 1
@@ -174,19 +185,21 @@ def _lex_irreducible(p, k):
     (c_{k-1},...,c_0), that is by the code sum c_i p^i.  Each goes through
     Rabin's test (von zur Gathen and Gerhard, 14.9) in its own `_Ring`:
     x^(p^k) = x, and gcd(x^(p^(k/l)) - x, cand) = 1 for every prime l | k.
-    Candidates with a root 0 (c_0 = 0), or for p = 2 a root 1 (an even
-    number of terms), are skipped before a ring is built.
+    Candidates with a root 0, 1 or -1 (read off the coefficient sums) are
+    skipped before a ring is built; for p = 2 the powers x^(2^j) come by
+    squaring, cheaper than building the Frobenius rows.
     """
     if k == 1:
         return [0, 1]  # x itself
-    for code in range(p ** k):
-        if code % p == 0 or p == 2 and bin(code).count("1") % 2:
+    for digits in product(range(p), repeat=k):  # (c_{k-1}, ..., c_0), c_0 fastest
+        cand = list(digits[::-1]) + [1]
+        if not cand[0] or not sum(cand) % p or not (sum(cand[::2]) - sum(cand[1::2])) % p:
             continue
-        cand = [code // p ** i % p for i in range(k)] + [1]
-        ring = _Ring(p, cand)
+        ring = _Ring(p, cand, rows=p != 2)
         powers = [ring.x]  # x^(p^j) mod cand
         for _ in range(k):
-            powers.append(ring.frob(powers[-1]))
+            a = powers[-1]
+            powers.append(ring.frob(a) if p != 2 else ring.mul(a, a))
         if powers[-1] == ring.x and not any(
                 ring.xgcd(ring._lanes_mod(powers[k // l] + (p - 1) * ring.x))[0] >> ring._w
                 for l in _prime_divisors(k)):
@@ -607,8 +620,46 @@ class PolyFq:
         return acc
 
     def first_root(self):
-        """The first root in `field.elements()` order, or None."""
-        return next((x for x in self.field.elements() if not self.evaluate(x)), None)
+        """The root with the smallest `code()` (the first in `field.elements()`
+        order), or None; every element for the zero polynomial.
+
+        Over F_Q, Q = p^K, the distinct linear factors multiply to
+        g = gcd(f, X^Q - X), with X^Q from the powers X^(p^i) mod f.  g is
+        split by equal degree (Cantor and Zassenhaus; von zur Gathen and
+        Gerhard, 14.3), each trial c applied to every factor left: for p = 2
+        by the gcd with the trace sum_i (cX)^(2^i), for odd p with
+        (X + c)^((Q-1)/2) - 1.  The c run over the basis y^i (for odd p,
+        shifted by each constant j < p), then over the field in code order;
+        for p = 2 the basis alone separates every two roots, since the trace
+        form is nondegenerate.
+        """
+        f = self.field
+        if self.is_zero():
+            return f.zero
+        p, x = f.p, PolyFq._of(f, [f.zero, f.one])
+        xs = [x % self]  # X^(p^i) mod f, i <= K
+        for _ in range(f.k):
+            xs.append(xs[-1] * xs[-1] % self if p == 2 else xs[-1].powmod(p, self))
+        g = self.gcd(xs[-1] - x)
+        xs = [a % g for a in xs[:-1]]
+        # y^0 = 1 last: c in F_p gives roots conjugate over F_p the same gcd
+        basis = [f.gen ** i for i in range(1, f.k)] + [f.one]
+        trials = chain((b + f.elem(j) for j in range(1 if p == 2 else p) for b in basis),
+                       f.elements())
+        parts = [g]
+        while any(u.degree > 1 for u in parts):
+            c, h = next(trials), PolyFq._of(f, [])
+            if p == 2:  # the trace of cX
+                for a in xs:
+                    h, c = h + a.scale(c), c * c
+            else:
+                h = (x + PolyFq._of(f, [c])).powmod((f.q - 1) // 2, g) - PolyFq._of(f, [f.one])
+            split = []
+            for u in parts:
+                d = u.gcd(h)
+                split += [d, u.divmod(d)[0]] if 0 < d.degree < u.degree else [u]
+            parts = split
+        return min((-u.coeffs[0] for u in parts if u.degree == 1), key=FqElem.code, default=None)
 
     def is_irreducible(self):
         """Rabin irreducibility test over F_q."""

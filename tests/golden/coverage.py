@@ -76,9 +76,6 @@ ALLOWED = {
     "called by the benchmark (bench/kernels.py)": (
         "towers.LocalFieldTower.element",
     ),
-    "the canonical root of ROADMAP item 3 compares codes": (
-        "fields.FqElem.code",
-    ),
     "formats the totals of carlitz.CrossCheckError messages": (
         "lfunctions.LogQValue.__str__",
     ),

@@ -117,6 +117,8 @@ def readme_jobs():
             {"galois.json": README_TAME}),
         job("readme: zv table", ["zv", "--galois", "galois.json", "--char", "trivial"],
             {"galois.json": README_TABLE}),
+        job("readme: zv tame f = 40", ["zv", "--galois", "galois.json", "--char", "trivial"],
+            {"galois.json": dict(README_TAME, q_v=4, f=40, e=1)}),
         job("readme: regularize", ["regularize", "--config", "reg.json"],
             {"reg.json": README_REG}),
     ]

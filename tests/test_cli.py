@@ -406,6 +406,15 @@ def test_explicit_depth_checks_the_cap_before_building(tmp_path):
     assert proc.stderr.startswith("resource limit: tower degree")
 
 
+def test_zv_tame_f40_finishes(tmp_path):
+    # the unramified step of degree 40 builds F_(2^80) and embeds F_4 in it
+    path = galois_file(tmp_path, {"schema": "1", "q_v": 4, "mode": "tame", "f": 40, "e": 1})
+    proc = _python_in_subprocess(["-m", "ffperiods.cli", "zv", "--galois", path,
+                                  "--char", "trivial"], 10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "Z_v(a, 1) = 1/3\nmu_Art,v(a) = 0/1\n" in proc.stdout
+
+
 # trivial-character row degrees, each dividing the first
 DIVISOR_CHAIN = [3000000, 1500000, 1000000, 500000]
 # trivial-character row degrees, none dividing another

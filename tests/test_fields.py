@@ -267,8 +267,10 @@ def test_canonical_modulus_and_generator(p, k, modulus, gen_code):
     assert F.multiplicative_generator().code() == gen_code
 
 
-@pytest.mark.parametrize("p,k", [(p, k) for p, top in ((2, 8), (3, 5), (5, 4), (7, 3))
-                                 for k in range(1, top + 1)])
+@pytest.mark.parametrize("p,k", [(p, k) for p, top in ((2, 8), (3, 5), (5, 4), (7, 3), (11, 6),
+                                                    (13, 5))
+                                 for k in range(1, top + 1)]
+                         + [(2, 16), (2, 64), (3, 9), (3, 40), (5, 20), (7, 12)])
 def test_lex_irreducible_matches_sympy(p, k):
     from sympy import Poly, symbols
 
@@ -349,6 +351,82 @@ def test_kernel_wide_lanes():
             pa, pb = ring.pack(a), ring.pack(b)
             assert ring.unpack(ring.mul(pa, pb)) == _ref_mul(a, b, m, p)
             assert ring.unpack(ring.frob(pa)) == _ref_pow(a, p, m, p)
+
+
+def _ref_mu(m, p):
+    """floor(x^(2k-2) / m) over F_p by scalar long division, k coefficients."""
+    k = len(m) - 1
+    rem, mu = [0] * (2 * k - 2) + [1], [0] * k
+    for j in range(2 * k - 2, k - 1, -1):
+        mu[j - k] = t = rem[j]
+        for i in range(k + 1):
+            rem[j - k + i] = (rem[j - k + i] - t * m[i]) % p
+    return mu
+
+
+@pytest.mark.parametrize("p", [2, 3, 13])
+@pytest.mark.parametrize("k", [1, 2, 9, 100, 256])
+def test_rings_sharing_a_lane_layout(p, k):
+    """Rings of one degree share their lane layout (`_lanes`); each keeps its
+    own Barrett constant, from packed long division, and the lexicographic
+    search's ring without Frobenius rows multiplies the same."""
+    rng = random.Random(1000 * p + k)
+    moduli = [[rng.randrange(p) for _ in range(k)] + [1] for _ in range(2)]
+    rings = [_Ring(p, m) for m in moduli]
+    assert rings[0]._struct is rings[1]._struct
+    for m, ring in zip(moduli, rings):
+        bare = _Ring(p, m, rows=False)
+        assert ring._mu == bare._mu == ring.pack(_ref_mu(m, p))
+        a, b = ([rng.randrange(p) for _ in range(k)] for _ in range(2))
+        pa, pb = ring.pack(a), ring.pack(b)
+        ab = _ref_mul(a, b, m, p)
+        assert ring.unpack(ring.mul(pa, pb)) == ring.unpack(bare.mul(pa, pb)) == ab
+        assert ring.unpack(ring.frob(pa)) == _ref_pow(a, p, m, p)
+        e = rng.randrange(2, 40)
+        assert ring.unpack(ring.pow(pa, e)) == _ref_pow(a, e, m, p)
+
+
+def _walk_root(poly):
+    """The first root in code order, by evaluating at every element."""
+    return next((x for x in poly.field.elements() if not poly.evaluate(x)), None)
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 8)])
+def test_split_root_is_the_walk_root_for_every_field_pair(p, top):
+    for b in range(1, top + 1):
+        dst = FqField(p, b)
+        for a in range(1, b + 1):
+            if b % a == 0:
+                poly = PolyFq(dst, FqField(p, a).modulus)
+                assert poly.first_root() == _walk_root(poly) is not None
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (2, 6), (3, 1), (3, 3), (5, 2), (7, 1), (13, 1)])
+def test_split_root_is_the_walk_root(p, k):
+    F, rng = FqField(p, k), random.Random(p * k)
+    elems = list(F.elements())
+    for _ in range(30):
+        poly = _random_poly(F, rng, rng.randint(1, 6))
+        r = rng.choice(elems)
+        double = poly * PolyFq(F, [-r, F.one]) * PolyFq(F, [-r, F.one])  # r twice
+        for f in (poly, double):
+            assert f.first_root() == _walk_root(f)
+    assert double.first_root() is not None
+    assert PolyFq(F, [F.gen]).first_root() is None  # a nonzero constant
+    assert PolyFq(F, [0]).first_root() == F.zero  # every element is a root
+    assert PolyFq(F, [-F.gen, F.one]).first_root() == F.gen
+    if k > 1:  # the modulus of F, over its prime field, has no root there
+        assert PolyFq(FqField(p, 1), F.modulus).first_root() is None
+
+
+def test_split_root_in_large_fields():
+    for a, b in ((8, 24), (2, 80)):
+        poly = PolyFq(FqField(2, b), FqField(2, a).modulus)
+        root = poly.first_root()
+        assert not poly.evaluate(root)
+        # the roots are root^(2^i); the smallest code wins
+        conj = [root ** (2 ** i) for i in range(a)]
+        assert len(set(conj)) == a and root == min(conj, key=lambda e: e.code())
 
 
 def test_frobenius_counts_mod_k():
