@@ -9,8 +9,9 @@ Subcommands:
   regularize  the four-term regularized value of a tail-convention sum
 
 Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input
-or a resource limit (an omega tower above the degree cap, or a period still
-short of precision at two units; the message starts 'resource limit:').
+or a resource limit (an omega tower above the degree cap, a period still
+short of precision at two units, or a q - 1 that trial division up to 2^20
+cannot factor; the message starts 'resource limit:').
 All rational output is exact ('num/den', with an explicit log q marker where
 applicable); nothing is ever evaluated in floating point.  The environment
 variable FFP_TOWER_BOUND (an integer >= 1) overrides omega's tower degree
@@ -40,7 +41,7 @@ from .cmshtuka import (
     omega_valuation_via_L,
     period_valuation_series,
 )
-from .fields import factor_prime_power
+from .fields import ResourceLimitError, factor_prime_power
 from .lfunctions import (
     ClassFunctionQ,
     ExplicitPlaceTerm,
@@ -66,10 +67,6 @@ EXIT_INVALID = 2
 
 
 class InputError(ValueError):
-    pass
-
-
-class ResourceLimitError(Exception):
     pass
 
 

@@ -443,13 +443,15 @@ def _omega_w_series(fam, cm, phi, psi, w_prec, pi):
 
 
 def _to_zeta_coordinates(tower, cm, psi, pi, w_series, w_prec):
-    """Re-expand a w-series in powers of u = z - zeta.  Also returns dy/dz at
-    psi (the linear coefficient of w in u), or None when e = 1."""
+    """Re-expand a w-series in powers of u = z - zeta, reverting z - zeta
+    only to O(u^w_prec), the terms the substitution reads.  Also returns
+    dy/dz at psi (the linear coefficient of w in u; w_prec >= 2), or None
+    when e = 1."""
     if cm.components[psi.i].e == 1:
         return w_series, None
-    zmz = _zeta_minus_z_series(tower, cm, psi, pi, w_prec + 1)
-    w_of_u = reversion(zmz, w_prec + 1, tower)
-    return w_series.compose(w_of_u.truncate(w_prec)), w_of_u.coeff(1)
+    zmz = _zeta_minus_z_series(tower, cm, psi, pi, w_prec)
+    w_of_u = reversion(zmz, w_prec, tower)
+    return w_series.compose(w_of_u), w_of_u.coeff(1)
 
 
 def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND):
@@ -489,16 +491,19 @@ def omega_period(cm, phi, psi, depth=None, bound=DEFAULT_TOWER_BOUND):
 
 def _omega_from_family(fam, cm, phi, psi):
     """The period from its head: the w- and (z - zeta)-series to hat + 1
-    terms, where the hat order is 1 iff phi = psi.  The expansion to depth + 2
-    terms is left to the first read of zeta_coeffs."""
+    terms, where the hat order is 1 iff phi = psi.  At hat order 0 the head
+    is the constant term, the same in w and in z - zeta, so nothing is
+    reverted.  The expansion to depth + 2 terms is left to the first read of
+    zeta_coeffs."""
     tower = fam.tower
     w_prec = fam.depth() + 2
     pi = family_uniformizer(fam, cm, phi)
     hat = int(phi == psi)
-    w_head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1, pi)
-    head, dy_dz = _to_zeta_coordinates(tower, cm, psi, pi, w_head, hat + 1)
-    if dy_dz is not None and hat:
-        leading = leading * dy_dz.pow(hat)
+    head, _, leading, term_vals = _omega_w_series(fam, cm, phi, psi, hat + 1, pi)
+    if hat:
+        head, dy_dz = _to_zeta_coordinates(tower, cm, psi, pi, head, 2)
+        if dy_dz is not None:
+            leading = leading * dy_dz
 
     def expand():
         w_series = _omega_w_series(fam, cm, phi, psi, w_prec, pi)[0]

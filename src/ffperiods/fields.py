@@ -9,7 +9,7 @@ monic irreducible of degree k over F_p, so the same (p, k) yields the same
 field in every run (found by Rabin's test, in rings sharing one lane layout).
 Addition is lane-wise: XOR when p = 2, an int sum reduced mod p otherwise.
 
-Fields with q <= 2^10 build, when they are made, a log map from element ints
+Fields with q <= 2^8 build, when they are made, a log map from element ints
 to discrete logs, one doubled exp table of ints and their elements by log;
 they multiply, invert and power through these, and the series product sums
 the exp entries directly (their lanes are at least 64 bits wide).  Larger
@@ -27,7 +27,7 @@ embeddings and A-motive residue roots the root of smallest code.
 import math
 import struct
 from functools import lru_cache
-from itertools import chain, compress, product
+from itertools import accumulate, chain, compress, islice, product, repeat, takewhile
 
 
 class FieldMismatchError(ValueError):
@@ -207,10 +207,23 @@ def _lex_irreducible(p, k):
     raise AssertionError("no irreducible of degree %d over F_%d" % (k, p))
 
 
+class ResourceLimitError(Exception):
+    """Work past a fixed budget; the CLI reports it as 'resource limit:'."""
+
+
+# Trial division stops at this divisor: it factors n whenever n's second
+# largest prime factor is below it (2^64 - 1 and 3^40 - 1, say), and gives
+# up in about 0.2 s otherwise (2^256 - 1).
+_TRIAL_DIVISOR_BOUND = 1 << 20
+
+
 def _prime_divisors(n):
-    out = []
-    d = 2
+    out, d, bits = [], 2, n.bit_length()
     while d * d <= n:
+        if d == _TRIAL_DIVISOR_BOUND:
+            raise ResourceLimitError("cannot factor a %d-bit number: a %d-bit part "
+                                     "is left after trial division up to 2^20"
+                                     % (bits, n.bit_length()))
         if n % d == 0:
             out.append(d)
             while n % d == 0:
@@ -222,10 +235,11 @@ def _prime_divisors(n):
 
 
 # Largest q whose log/exp tables are built.  The build costs O(q) time and
-# memory; per omega job it beat table-free arithmetic at q = 2^9 and 2^10
-# and lost from q = 2^11 on (a 2^11 job: 0.040 s with tables, 0.014 s
-# without), so the limit sits at the crossover.
-_LOG_TABLE_LIMIT = 1 << 10
+# memory; an omega --depth 1 job, alone in a fresh interpreter (median of
+# 14), ran faster without tables at q = 2^10 (5.4 against 7.0 ms with them)
+# and 2^9 (5.9 against 6.5 ms) and tied at 2^8 (5.9 ms either way), so the
+# limit is 2^8.
+_LOG_TABLE_LIMIT = 1 << 8
 
 
 class FqField:
@@ -252,13 +266,14 @@ class FqField:
         self.modulus = tuple(_lex_irreducible(p, k))
         # A table field packs with lanes of at least 64 bits, so an element's
         # int is its own entry of the series product's exp table: a series
-        # sum adds at most min(#a, #b) entries, each lane below p <= 2^10, so
+        # sum adds at most min(#a, #b) entries, each lane below p <= 2^8, so
         # a lane stays below 2^64 unless a series has more than 2^54 terms.
         tables = self.q <= _LOG_TABLE_LIMIT
         self._ring = _Ring(p, self.modulus, 8 if tables else 1)
         self.zero, self.one = FqElem(self, 0), FqElem(self, 1)
         self.gen = FqElem(self, self._ring.x) if k > 1 else self.one
         self._log = self._exp = self._elems = self._mul_gen = None
+        self._roots = {1: self.one}  # m -> the canonical generator of mu_m
         if tables:
             self._build_tables()
         self._ready = True
@@ -324,24 +339,26 @@ class FqField:
     def multiplicative_generator(self):
         """The canonical generator of F_q^*: the first element in code order
         with g^((q-1)/l) != 1 for every prime l | q - 1.  Found by powering in
-        the ring kernel, so it is the same element with or without log tables."""
+        the ring kernel, so it is the same element with or without log tables.
+        No element of F_p generates when k > 1, so the walk starts at code p
+        then; q - 1 past the trial division bound raises ResourceLimitError."""
         if self._mul_gen is None:
             ring, order = self._ring, self.q - 1
             exps = [order // l for l in _prime_divisors(order)]
             self._mul_gen = next(
-                cand for cand in self.elements()
-                if cand and all(ring.pow(cand.n, e) != 1 for e in exps)
+                cand for cand in islice(self.elements(), 1 if self.k == 1 else self.p, None)
+                if all(ring.pow(cand.n, e) != 1 for e in exps)
             )
         return self._mul_gen
 
     def root_of_unity(self, m):
-        """A canonical generator of mu_m, requires m | q - 1; mu_1's is one,
-        which needs no multiplicative generator."""
+        """The canonical generator g^((q-1)/m) of mu_m, kept per m; requires
+        m | q - 1.  mu_1's is one, which needs no multiplicative generator."""
         if (self.q - 1) % m != 0:
             raise ValueError("mu_%d not contained in %r" % (m, self))
-        if m == 1:
-            return self.one
-        return self.multiplicative_generator() ** ((self.q - 1) // m)
+        if m not in self._roots:
+            self._roots[m] = self.multiplicative_generator() ** ((self.q - 1) // m)
+        return self._roots[m]
 
     def embedding(self, target):
         """The canonical embedding of this field into `target` (degree must divide).
@@ -628,10 +645,10 @@ class PolyFq:
         split by equal degree (Cantor and Zassenhaus; von zur Gathen and
         Gerhard, 14.3), each trial c applied to every factor left: for p = 2
         by the gcd with the trace sum_i (cX)^(2^i), for odd p with
-        (X + c)^((Q-1)/2) - 1.  The c run over the basis y^i (for odd p,
-        shifted by each constant j < p), then over the field in code order;
-        for p = 2 the basis alone separates every two roots, since the trace
-        form is nondegenerate.
+        (X + c)^((Q-1)/2) - 1.  The c run over the basis y^i for p = 2 and
+        the powers (y + 1)^i, i >= 1, before they cycle for odd p, then over
+        the field in code order; for p = 2 the basis alone separates every
+        two roots, since the trace form is nondegenerate.
         """
         f = self.field
         if self.is_zero():
@@ -642,10 +659,11 @@ class PolyFq:
             xs.append(xs[-1] * xs[-1] % self if p == 2 else xs[-1].powmod(p, self))
         g = self.gcd(xs[-1] - x)
         xs = [a % g for a in xs[:-1]]
-        # y^0 = 1 last: c in F_p gives roots conjugate over F_p the same gcd
-        basis = [f.gen ** i for i in range(1, f.k)] + [f.one]
-        trials = chain((b + f.elem(j) for j in range(1 if p == 2 else p) for b in basis),
-                       f.elements())
+        if p == 2:  # y^0 = 1 last: c in F_2 gives roots conjugate over F_2 the same gcd
+            first = [f.gen ** i for i in range(1, f.k)] + [f.one]
+        else:
+            first = takewhile(f.one.__ne__, accumulate(repeat(f.gen + f.one), FqElem.__mul__))
+        trials = chain(first, f.elements())
         parts = [g]
         while any(u.degree > 1 for u in parts):
             c, h = next(trials), PolyFq._of(f, [])

@@ -17,7 +17,7 @@ not stored.
 
 Products take one path, `_sum_scaled`: each term c T^k of one factor adds
 c T^k times the other into one dict of sums.  Over fields with log/exp tables
-(q <= 2^10) a sum is a plain int, one exp-table entry (an element's packed
+(q <= 2^8) a sum is a plain int, one exp-table entry (an element's packed
 int, lanes of at least 64 bits) per pair, reduced mod p once unless it is an
 entry itself; other rings sum their elements.  Composition adds every scaled
 power into one such dict.  Powers go digit by digit (`_powers_of`), so their

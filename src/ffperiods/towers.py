@@ -27,7 +27,7 @@ denominator dividing the absolute ramification index.
 from fractions import Fraction
 from math import gcd
 
-from .fields import FqField, factor_prime_power
+from .fields import FqField, PolyFq, factor_prime_power
 from .series import TruncSeries, _powers_of
 
 
@@ -541,20 +541,14 @@ def newton_root(tower, coeffs, residue_root):
 def unit_nth_root(tower, elem, n):
     """An n-th root of a valuation-zero element, gcd(n, p) = 1.
 
-    Takes the lexicographically smallest residue root and Newton-lifts it;
-    raises UnsupportedKummerError when the residue field has no root.
+    Takes the lexicographically smallest residue root, the first root of
+    X^n - c (c != 0, so no root is 0), and Newton-lifts it; raises
+    UnsupportedKummerError when the residue field has no root.
     """
     if elem.ord() != 0:
         raise ValueError("unit_nth_root needs a valuation-zero element")
     res = tower.residue
-    lead = elem.leading_coeff()
-    root0 = None
-    for cand in res.elements():
-        if cand.is_zero():
-            continue
-        if cand ** n == lead:
-            root0 = cand
-            break
+    root0 = PolyFq(res, [-elem.leading_coeff()] + [0] * (n - 1) + [1]).first_root()
     if root0 is None:
         raise UnsupportedKummerError(
             "no %d-th root of the leading coefficient in %r" % (n, res)

@@ -190,6 +190,9 @@ def message_jobs():
         omega("explicit depth above the cap, checked before the field is built",
               {"schema": "1", "q_v": 256, "components": [{"f": 32, "e": 1, "tame": True}]},
               extra=["--depth", "0"]),
+        omega("generator order past the trial division bound, under a raised cap",
+              {"schema": "1", "q_v": 2, "components": [{"f": 62, "e": 3, "tame": True}]},
+              psi="(0,0,1)", extra=["--depth", "0"], env={"FFP_TOWER_BOUND": "1" + "0" * 84}),
         omega("tower degree too long to print",
               {"schema": "1", "q_v": 2, "components": [{"f": 20000, "e": 1}]}),
         omega("twelve-digit prime q_v",

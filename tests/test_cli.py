@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -404,6 +405,24 @@ def test_explicit_depth_checks_the_cap_before_building(tmp_path):
                                   "(0,0,0)", "--psi", "(0,0,0)", "--depth", "0"], 2, env)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("resource limit: tower degree")
+
+
+@pytest.mark.parametrize("q_v,f,e,bits", [(2, 62, 3, (62, 61)), (3, 37, 2, (59, 58))])
+def test_unfactorable_generator_order_is_a_resource_limit(capsys, tmp_path, monkeypatch,
+                                                          q_v, f, e, bits):
+    # mu_e needs the generator of F_(q_v^f), whose order 2^62 - 1 (3^37 - 1)
+    # has two prime factors above the trial division bound 2^20; as for
+    # F_(2^256) under a raised cap, the command stops there, in process
+    monkeypatch.setenv("FFP_TOWER_BOUND", "1" + "0" * 84)
+    path = cm_file(tmp_path, {"schema": "1", "q_v": q_v,
+                              "components": [{"f": f, "e": e, "tame": True}]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "omega", "--cm", path, "--phi", "(0,0,0)",
+                         "--psi", "(0,0,1)", "--depth", "0")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == ("resource limit: cannot factor a %d-bit number: a %d-bit part is left "
+                   "after trial division up to 2^20\n" % bits)
 
 
 def test_zv_tame_f40_finishes(tmp_path):

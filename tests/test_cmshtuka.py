@@ -677,12 +677,16 @@ def test_omega_period_reverts_only_the_head(monkeypatch):
         precs.clear()
         pe = omega_period(cm, phi, psi, depth=depth)
         ramified = cm.components[0].e > 1
-        # the head reverts z - zeta to hat + 2 terms, and only when e > 1
-        assert precs == ([pe.hat_order + 2] if ramified else []), (cm.q_v, phi, psi)
+        # the head reverts z - zeta only for hat order 1 (to b_1: 2 terms),
+        # and only when e > 1; hat order 0 reads the constant term alone
+        assert precs == ([2] if ramified and pe.hat_order else []), (cm.q_v, phi, psi)
+        heads = len(precs)
         pe.zeta_coeffs
         if ramified:
-            assert precs[-1] == depth + 3  # w_prec + 1, on first access only
-            full_prec_seen |= depth + 3 > pe.hat_order + 2
+            assert precs[heads:] == [depth + 2]  # w_prec, on first access only
+            pe.zeta_coeffs
+            assert len(precs) == heads + 1
+            full_prec_seen |= depth + 2 > 2
     assert full_prec_seen
 
 

@@ -99,6 +99,17 @@ def test_root_of_unity_orders():
     assert w ** 2 != F9.one
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (2, 8), (2, 9), (13, 3)])
+def test_root_of_unity_is_kept_and_canonical(p, k):
+    # tables at 3^2 and 2^8, none above; mu_1 needs no generator
+    F = FqField(p, k)
+    g = F.multiplicative_generator()
+    for m in (d for d in range(1, F.q) if (F.q - 1) % d == 0):
+        first = F.root_of_unity(m)
+        assert F.root_of_unity(m) is first
+        assert first == g ** ((F.q - 1) // m)
+
+
 def test_irreducibles_q2():
     F2 = FqField(2, 1)
     deg1 = monic_irreducibles(F2, 1)
@@ -304,6 +315,22 @@ def _ref_pow(a, e, m, p):
         a = _ref_mul(a, a, m, p)
         e >>= 1
     return r
+
+
+@pytest.mark.parametrize("p,top", [(2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3)])
+def test_generator_is_the_code_order_walk(p, top):
+    # a walk from code 1 that includes F_p, powering by schoolbook products
+    # and factoring q - 1 with sympy
+    from sympy import primefactors
+
+    for k in range(1, top + 1):
+        F, q = FqField(p, k), p ** k
+        one = (1,) + (0,) * (k - 1)
+        exps = [(q - 1) // l for l in primefactors(q - 1)]
+        walk = next(code for code in range(1, q)
+                    if all(_ref_pow(tuple(code // p ** i % p for i in range(k)), e,
+                                    F.modulus, p) != one for e in exps))
+        assert F.multiplicative_generator().code() == walk, (p, k)
 
 
 # table-free fields: p = 2 and odd p, and (101, 2), whose lanes are wider

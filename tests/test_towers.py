@@ -1,4 +1,5 @@
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -15,7 +16,7 @@ from ffperiods.cmshtuka import (
     omega_period,
     recursion_family,
 )
-from ffperiods.fields import FqField
+from ffperiods.fields import FqField, PolyFq
 from ffperiods.lfunctions import LocalGaloisDatum
 from ffperiods.series import InsufficientPrecisionError, TruncSeries
 from ffperiods.towers import (
@@ -494,6 +495,40 @@ def test_unit_root_extension_degree_matches_the_field_walk(q):
             tower, x = unit_nth_root_with_extension(base, unit, n)
             assert tower.residue.q == q ** t, (c, n)
             assert (x.pow(n) - tower.lift(unit)).is_zero_within_precision()
+
+
+def test_unit_root_over_f9_with_n8_finishes():
+    # an 8th root of a generator of F_9^* lies in F_(3^16); its residue root
+    # is split out of X^8 - c there, with no walk over that field
+    base = LocalFieldTower.base(9, prec=8)
+    start = time.perf_counter()
+    for c in base.residue.elements():
+        if c:
+            unit = base.from_residue(c) + base.uniformizer()
+            tower, x = unit_nth_root_with_extension(base, unit, 8)
+            assert (x.pow(8) - tower.lift(unit)).is_zero_within_precision()
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("q_v", [81, 64])
+def test_unit_root_residue_is_the_walk_root(q_v):
+    # the first root of X^n - c is the first n-th root of c in code order;
+    # unit_nth_root lifts it when p does not divide n
+    base = LocalFieldTower.base(q_v, prec=4)
+    res = base.residue
+    for n in (3, 5, 8):
+        for c in res.elements():
+            if not c:
+                continue
+            walk = next((r for r in res.elements() if r ** n == c), None)
+            assert PolyFq(res, [-c] + [0] * (n - 1) + [1]).first_root() == walk, (n, c)
+            if n % res.p == 0:
+                continue
+            if walk is None:
+                with pytest.raises(UnsupportedKummerError):
+                    towers.unit_nth_root(base, base.from_residue(c), n)
+            else:
+                assert towers.unit_nth_root(base, base.from_residue(c), n).leading_coeff() == walk
 
 
 def test_additive_twist_solver():
