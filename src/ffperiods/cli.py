@@ -11,7 +11,9 @@ Subcommands:
 Exit codes: 0 success, 1 mathematical cross-check failure, 2 invalid input
 or a resource limit (an omega tower above the degree cap, a period still
 short of precision at two units, or a q - 1 that trial division up to 2^20
-cannot factor; the message starts 'resource limit:').
+cannot factor; the message starts 'resource limit:').  A reader that closes
+stdout early (`| head`) ends the command with exit 1, no traceback and
+nothing on stderr.
 All rational output is exact ('num/den', with an explicit log q marker where
 applicable); nothing is ever evaluated in floating point.  The environment
 variable FFP_TOWER_BOUND (an integer >= 1) overrides omega's tower degree
@@ -513,5 +515,20 @@ def main(argv=None):
         return EXIT_MISMATCH
 
 
+def entry():
+    """The console entry (`ffperiods`, `python -m ffperiods.cli`): main() on
+    sys.argv, stdout flushed while a closed pipe is still caught.  A reader
+    that stops early (`| head`) ends the command with exit 1 and no
+    traceback, by the SIGPIPE recipe of Python's `signal` documentation."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout once more at exit: aim it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -15,8 +15,10 @@ they multiply, invert and power through these, and the series product sums
 the exp entries directly (their lanes are at least 64 bits wide).  Larger
 fields build no tables: they multiply, power and invert in the kernel, which
 also runs the Rabin test, the table builds and the generator search.  Either
-way the canonical multiplicative generator, and with it every root of unity,
-is the first element in code order of order q - 1.
+way the canonical multiplicative generator g is the first element in code
+order of order q - 1, and mu_m's generator is g^((q-1)/m).  For m = 2 that is
+-1, whatever g is, so mu_2 is read off without the generator: a tame datum
+with e <= 2 neither factors q - 1 nor walks the field.
 
 `PolyFq` is the one dense polynomial class: it asks its coefficient field
 only for `elem`, `zero` and `one`, so the same code runs over an FqField and
@@ -143,20 +145,31 @@ class _Ring:
             return sum(compress(self._frob, self.unpack(a))) & self._ones
         return self._lanes_mod(sum(map(int.__mul__, self.unpack(a), self._frob)))
 
+    def sqr_mul(self, a, e):
+        """a^e for e >= 1 by left-to-right square and multiply: no Frobenius
+        rows, and one product for e = 2."""
+        r = a
+        for bit in bin(e)[3:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
     def pow(self, a, e):
         """a^e, left to right in base p: r <- r^p a^d per digit d, each a^d
-        (d < p) built once it is needed."""
+        built by square and multiply once per distinct digit (in a prime
+        field the exponent is one digit, as large as p)."""
         digits = []
         while e:
             e, d = divmod(e, self.p)
             digits.append(d)
-        small, r = [1, a], None
+        small, r = {}, None
         for d in reversed(digits):
             if r is not None:
                 r = self.frob(r)
             if d:
-                while len(small) <= d:
-                    small.append(self.mul(small[-1], a))
+                if d not in small:
+                    small[d] = self.sqr_mul(a, d)
                 r = small[d] if r is None else self.mul(r, small[d])
         return 1 if r is None else r
 
@@ -186,8 +199,9 @@ def _lex_irreducible(p, k):
     Rabin's test (von zur Gathen and Gerhard, 14.9) in its own `_Ring`:
     x^(p^k) = x, and gcd(x^(p^(k/l)) - x, cand) = 1 for every prime l | k.
     Candidates with a root 0, 1 or -1 (read off the coefficient sums) are
-    skipped before a ring is built; for p = 2 the powers x^(2^j) come by
-    squaring, cheaper than building the Frobenius rows.
+    skipped before a ring is built.  A candidate's ring has no Frobenius
+    rows: each x^(p^j) is the p-th power of the last, by square and
+    multiply, which measured cheaper than building the rows.
     """
     if k == 1:
         return [0, 1]  # x itself
@@ -195,11 +209,10 @@ def _lex_irreducible(p, k):
         cand = list(digits[::-1]) + [1]
         if not cand[0] or not sum(cand) % p or not (sum(cand[::2]) - sum(cand[1::2])) % p:
             continue
-        ring = _Ring(p, cand, rows=p != 2)
+        ring = _Ring(p, cand, rows=False)
         powers = [ring.x]  # x^(p^j) mod cand
         for _ in range(k):
-            a = powers[-1]
-            powers.append(ring.frob(a) if p != 2 else ring.mul(a, a))
+            powers.append(ring.sqr_mul(powers[-1], p))
         if powers[-1] == ring.x and not any(
                 ring.xgcd(ring._lanes_mod(powers[k // l] + (p - 1) * ring.x))[0] >> ring._w
                 for l in _prime_divisors(k)):
@@ -273,7 +286,9 @@ class FqField:
         self.zero, self.one = FqElem(self, 0), FqElem(self, 1)
         self.gen = FqElem(self, self._ring.x) if k > 1 else self.one
         self._log = self._exp = self._elems = self._mul_gen = None
-        self._roots = {1: self.one}  # m -> the canonical generator of mu_m
+        # m -> the canonical generator of mu_m; for odd q, -1 = g^((q-1)/2)
+        # for every generator g (for q even, m = 2 never divides q - 1)
+        self._roots = {1: self.one, 2: -self.one}
         if tables:
             self._build_tables()
         self._ready = True
@@ -298,7 +313,11 @@ class FqField:
         return FqElem(self, ring.pack(c + [0] * (self.k - len(c))))
 
     def elements(self):
-        """All field elements in lexicographic (integer-code) order."""
+        """All field elements in lexicographic (integer-code) order, lazily
+        (`product` would first make a tuple of range(p))."""
+        if self.k == 1:  # an element's int is its code
+            yield from map(FqElem, repeat(self), range(self.p))
+            return
         pack = self._ring.pack
         for c in product(range(self.p), repeat=self.k):  # c_0 varies fastest
             yield FqElem(self, pack(c[::-1]))
@@ -353,7 +372,8 @@ class FqField:
 
     def root_of_unity(self, m):
         """The canonical generator g^((q-1)/m) of mu_m, kept per m; requires
-        m | q - 1.  mu_1's is one, which needs no multiplicative generator."""
+        m | q - 1.  mu_1's is one and mu_2's is -1, which need no
+        multiplicative generator."""
         if (self.q - 1) % m != 0:
             raise ValueError("mu_%d not contained in %r" % (m, self))
         if m not in self._roots:

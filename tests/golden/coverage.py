@@ -73,6 +73,10 @@ ALLOWED = {
         "fields._embedding.<locals>.embed", "fields._embedding.<locals>.embed_prime",
         "series.TruncSeries.map_coeffs", "towers._is_below",
     ),
+    "the console entry: the corpus replays main(argv) in process, and "
+    "tests/test_cli.py runs the entry in a subprocess": (
+        "cli.entry",
+    ),
     "called by the benchmark (bench/kernels.py)": (
         "towers.LocalFieldTower.element",
     ),

@@ -13,8 +13,8 @@ that change in CHANGES.md.
 The jobs: every job of the benchmark's omega-deep and big-residue pools
 (with big-residue's known failures) and of carlitz-sweep, read from
 bench/workloads.py; a fixed, seeded sample of tame omega jobs off those
-pools; the README's examples; and one job for each message the CLI exits 2
-(or 1) with.
+pools; the README's examples; one job for each message the CLI exits 2
+(or 1) with; and zv over a twelve-digit prime field.
 """
 
 import argparse
@@ -237,8 +237,15 @@ def message_jobs():
     ]
 
 
+def prime_field_jobs():
+    """zv over a twelve-digit prime field: mu_2 is -1 without a generator,
+    and mu_4 takes a generator found without walking the field in a tuple."""
+    datum = {"schema": "1", "q_v": 999999999989, "mode": "tame", "f": 1}
+    return [zv("twelve-digit prime q_v, e = %d" % e, dict(datum, e=e)) for e in (2, 4)]
+
+
 def jobs():
-    return pool_jobs() + off_grid_jobs() + readme_jobs() + message_jobs()
+    return pool_jobs() + off_grid_jobs() + readme_jobs() + message_jobs() + prime_field_jobs()
 
 
 def main():

@@ -407,12 +407,12 @@ def test_explicit_depth_checks_the_cap_before_building(tmp_path):
     assert proc.stderr.startswith("resource limit: tower degree")
 
 
-@pytest.mark.parametrize("q_v,f,e,bits", [(2, 62, 3, (62, 61)), (3, 37, 2, (59, 58))])
+@pytest.mark.parametrize("q_v,f,e,bits", [(2, 62, 3, (62, 61)), (7, 26, 3, (73, 62))])
 def test_unfactorable_generator_order_is_a_resource_limit(capsys, tmp_path, monkeypatch,
                                                           q_v, f, e, bits):
-    # mu_e needs the generator of F_(q_v^f), whose order 2^62 - 1 (3^37 - 1)
-    # has two prime factors above the trial division bound 2^20; as for
-    # F_(2^256) under a raised cap, the command stops there, in process
+    # mu_e (e >= 3) needs the generator of F_(q_v^f), whose order 2^62 - 1
+    # (7^26 - 1) has two prime factors above the trial division bound 2^20;
+    # as for F_(2^256) under a raised cap, the command stops there, in process
     monkeypatch.setenv("FFP_TOWER_BOUND", "1" + "0" * 84)
     path = cm_file(tmp_path, {"schema": "1", "q_v": q_v,
                               "components": [{"f": f, "e": e, "tame": True}]})
@@ -423,6 +423,32 @@ def test_unfactorable_generator_order_is_a_resource_limit(capsys, tmp_path, monk
     assert (code, out) == (2, "")
     assert err == ("resource limit: cannot factor a %d-bit number: a %d-bit part is left "
                    "after trial division up to 2^20\n" % bits)
+
+
+def test_mu_2_needs_no_generator_of_an_unfactorable_order(capsys, tmp_path, monkeypatch):
+    # 3^37 - 1 has two prime factors above 2^20, but mu_2 is {1, -1}: the
+    # command never factors it
+    monkeypatch.setenv("FFP_TOWER_BOUND", "1" + "0" * 84)
+    path = cm_file(tmp_path, {"schema": "1", "q_v": 3,
+                              "components": [{"f": 37, "e": 2, "tame": True}]})
+    start = time.perf_counter()
+    code, out, err = run(capsys, "omega", "--cm", path, "--phi", "(0,0,0)",
+                         "--psi", "(0,0,1)", "--depth", "0")
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    assert "agreement:        yes" in out
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader is gone before the first write: exit 1, and no traceback
+    # or "Exception ignored" line on stderr
+    proc = subprocess.Popen([sys.executable, "-m", "ffperiods.cli", "carlitz", "--q", "2",
+                             "--max-degree", "9", "--format", "json"], env=_env_with_src(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
 
 
 def test_zv_tame_f40_finishes(tmp_path):
@@ -456,12 +482,16 @@ def _regularize_in_subprocess(tmp_path, payloads, timeout):
     return _python_in_subprocess(["-c", script] + configs, timeout)
 
 
+def _env_with_src(env=None):
+    """`env` (default: this process's) with this ffperiods on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(ffperiods.__file__))
+    return dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _python_in_subprocess(args, timeout, env=None):
     """A fresh interpreter on `args`, with this ffperiods on its path."""
-    src = os.path.dirname(os.path.dirname(ffperiods.__file__))
-    env = dict(os.environ if env is None else env, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable] + args, env=env,
+    return subprocess.run([sys.executable] + args, env=_env_with_src(env),
                           capture_output=True, text=True, timeout=timeout)
 
 

@@ -99,15 +99,56 @@ def test_root_of_unity_orders():
     assert w ** 2 != F9.one
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (2, 8), (2, 9), (13, 3)])
+ROOT_FIELDS = [(2, 1), (3, 2), (2, 8), (2, 9), (13, 3)]
+
+
+# every field up to 2^12, 3^7, 5^5, 7^4, 11^3 and 13^3
+@pytest.mark.parametrize("p,k", ROOT_FIELDS + sorted(
+    {(p, k) for p, top in ((2, 12), (3, 7), (5, 5), (7, 4), (11, 3), (13, 3))
+     for k in range(1, top + 1)} - set(ROOT_FIELDS)))
 def test_root_of_unity_is_kept_and_canonical(p, k):
-    # tables at 3^2 and 2^8, none above; mu_1 needs no generator
+    # tables up to 2^8, none above; mu_1 and mu_2 need no generator
     F = FqField(p, k)
     g = F.multiplicative_generator()
     for m in (d for d in range(1, F.q) if (F.q - 1) % d == 0):
         first = F.root_of_unity(m)
         assert F.root_of_unity(m) is first
         assert first == g ** ((F.q - 1) // m)
+
+
+def test_mu_1_and_mu_2_need_no_generator(monkeypatch):
+    # -1 = g^((q-1)/2) for every generator g; the fields are made first, as
+    # a table field's tables are powers of its generator
+    fields = [FqField(p, k) for p, k in ((3, 1), (3, 9), (13, 3), (2, 12), (999999999989, 1))]
+    calls = []
+    monkeypatch.setattr(FqField, "multiplicative_generator", lambda self: calls.append(self))
+    for F in fields:
+        assert F.root_of_unity(1) == F.one
+        if F.p != 2:
+            assert F.root_of_unity(2) == -F.one != F.one
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (1021, 1), (2 ** 40 - 87, 1), (999999999989, 1),
+                                 (3, 9), (13, 3), (1021, 2), (2 ** 31 - 1, 2)])
+def test_ring_pow_against_schoolbook(p, k):
+    # a prime field's exponent is one base-p digit, as large as p: its power
+    # is built by square and multiply, not by p products
+    rng = random.Random(p * k)
+    m = [0, 1] if k == 1 else [rng.randrange(p) for _ in range(k)] + [1]
+    ring = _Ring(p, m)
+    for e in [0, 1, 2, p - 1, p, p + 1] + [rng.randrange(3 * p ** k) for _ in range(20)]:
+        a = [rng.randrange(p) for _ in range(k)]
+        assert ring.unpack(ring.pow(ring.pack(a), e)) == _ref_pow(tuple(a), e, m, p), e
+
+
+def test_twelve_digit_prime_field_walks_lazily():
+    # elements() makes no tuple of range(p), and the generator's powers
+    # take O(log p) products each
+    F = FqField(999999999989, 1)
+    assert [x.n for x in itertools.islice(F.elements(), 3)] == [0, 1, 2]
+    g, w = F.multiplicative_generator(), F.root_of_unity(4)
+    assert w == g ** ((F.q - 1) // 4) and w ** 2 == -F.one
 
 
 def test_irreducibles_q2():
